@@ -1,28 +1,19 @@
 """Command-line surface: asymp, compare, validate.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.  JSON
+Exit codes: 0 success, 1 validation failure or an oracle refusal (no
+CSV is written then), 2 usage error.  JSON
 documents carry a "schema": "twin-gap/1" field; CSV uses '.' decimals,
 17 significant digits, and a mandatory header row, so identical configs
 reproduce byte-identical output.
 
-TWIN_GAP_THREADS caps BLAS parallelism (default: all cores); it must be
-honored before numpy loads, so it is applied at entry.
+TWIN_GAP_THREADS caps BLAS parallelism (default: all cores).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("TWIN_GAP_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _fmt(x: float) -> str:
@@ -139,7 +130,11 @@ def cmd_compare(args) -> int:
     lines = ["s,asym_total,oracle_logdet,difference,oracle_error_estimate,unreliable_flag"]
     for s in svals:
         asym = predict(s)
-        res = fredholm_logdet(s, intervals, max_nodes=args.max_nodes)
+        try:
+            res = fredholm_logdet(s, intervals, max_nodes=args.max_nodes)
+        except TwinGapError as exc:
+            sys.stderr.write(f"error: oracle refused: {exc}\n")
+            return 1
         lines.append(",".join([
             _fmt(s), _fmt(asym), _fmt(res.log_det),
             _fmt(asym - res.log_det), _fmt(res.error_estimate),
@@ -224,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

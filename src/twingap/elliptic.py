@@ -110,39 +110,48 @@ def _refine(value_at: Callable[[int], float], start: int = _DEFAULT_NODES,
     return prev
 
 
+# Mapped rules, cached per n.  Each array is formed in the order the sums
+# associate, e.g. (w * (pi/4)) * 2 before the product with f(x), so a sum
+# over a cached rule has the bits of the same sum written inline.
+@lru_cache(maxsize=64)
+def _sin2_rule(n: int):
+    """(sin^2(theta_i), 2 (pi/4) w_i) for theta = (t + 1) pi/4 on [0, pi/2]."""
+    t, w = _leggauss(n)
+    theta = (t + 1.0) * (math.pi / 4.0)
+    return np.sin(theta) ** 2, w * (math.pi / 4.0) * 2.0
+
+
+@lru_cache(maxsize=64)
+def _half_rule(n: int):
+    """(u_i, w_i / 2) for u = (t + 1)/2 on [0, 1]."""
+    t, w = _leggauss(n)
+    return (t + 1.0) / 2.0, w * 0.5
+
+
 def integrate_both_sqrt(f, a: float, b: float, n: int) -> float:
     """int_a^b f(x)/sqrt((x-a)(b-x)) dx via x = a + (b-a) sin^2(theta).
 
     f must be smooth on [a, b]; the substitution absorbs both inverse
     square-root endpoint factors exactly (the Jacobian is 2 dtheta).
     """
-    t, w = _leggauss(n)
-    theta = (t + 1.0) * (math.pi / 4.0)
-    x = a + (b - a) * np.sin(theta) ** 2
-    return float(np.sum(w * (math.pi / 4.0) * 2.0 * f(x)))
+    sin2, wq = _sin2_rule(n)
+    x = a + (b - a) * sin2
+    return float(np.sum(wq * f(x)))
 
 
 def integrate_left_sqrt(f, a: float, b: float, n: int) -> float:
     """int_a^b f(x)/sqrt(b-x) dx via x = b - (b-a) u^2 (singular at b)."""
-    t, w = _leggauss(n)
-    u = (t + 1.0) / 2.0
+    u, wh = _half_rule(n)
+    # ((b - a) u) u, not (b - a) u^2: the rounding of x depends on the order
     x = b - (b - a) * u * u
-    return 2.0 * math.sqrt(b - a) * float(np.sum(w * 0.5 * f(x)))
+    return 2.0 * math.sqrt(b - a) * float(np.sum(wh * f(x)))
 
 
 def integrate_right_sqrt(f, a: float, b: float, n: int) -> float:
     """int_a^b f(x)/sqrt(x-a) dx via x = a + (b-a) u^2 (singular at a)."""
-    t, w = _leggauss(n)
-    u = (t + 1.0) / 2.0
+    u, wh = _half_rule(n)
     x = a + (b - a) * u * u
-    return 2.0 * math.sqrt(b - a) * float(np.sum(w * 0.5 * f(x)))
-
-
-def integrate_smooth(f, a: float, b: float, n: int) -> complex:
-    """Plain Gauss-Legendre on [a, b] for smooth (possibly complex) f."""
-    t, w = _leggauss(n)
-    x = (t + 1.0) * (b - a) / 2.0 + a
-    return complex(np.sum(w * (b - a) / 2.0 * f(x)))
+    return 2.0 * math.sqrt(b - a) * float(np.sum(wh * f(x)))
 
 
 def complete_elliptic(v: float) -> tuple[float, float]:

@@ -17,7 +17,9 @@ Two routes, sharing no code with the asymptotic expansions:
 Because 0 <= K_s <= I, every Nystrom eigenvalue sits in [0, 1); as the
 largest one approaches 1 the log-determinant loses digits, so results
 are flagged unreliable once 1 - lambda_max < 1e-12 (log det below about
--30 is out of reach in double precision).
+-30 is out of reach in double precision).  Once round-off pushes an
+eigenvalue to 1 or beyond, log(1 - lambda) does not exist and the
+Nystrom route refuses with DomainError rather than return NaN.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class OracleResult:
     unreliable: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.log_det):
+            raise DomainError(f"log-determinant is not finite: {self.log_det}")
         if self.log_det > 1e-9:
             raise DomainError(
                 f"log of a probability cannot be positive: {self.log_det}")
@@ -98,6 +102,11 @@ def nystrom_eigenvalues(s: float, intervals: Sequence[tuple[float, float]],
 def _nystrom_pass(s: float, intervals, m: int) -> tuple[float, float]:
     lam = nystrom_eigenvalues(s, intervals, m)
     floor = float(1.0 - lam.max())
+    if floor <= 0.0:  # lambda_max >= 1: log(1 - lambda) is -inf or NaN
+        raise DomainError(
+            f"at s={s} a Nystrom eigenvalue reached 1 in double precision "
+            f"(1 - lambda_max = {floor:.3g} at {m} nodes per interval); "
+            f"log det(I - K_s) is below what double precision resolves")
     return float(np.sum(np.log1p(-lam))), floor
 
 
@@ -186,14 +195,15 @@ def toeplitz_logdet(s: float, v1: float, v2: float, n: int) -> OracleResult:
         return float(np.sum(np.log(diag))), float(diag.min() / diag.max())
 
     value, pivot = run(n)
+    if not math.isfinite(value):
+        raise DomainError(f"Toeplitz matrix is singular at n={n}, s={s}")
     half, _ = run(n // 2)
-    bad = not math.isfinite(value)
     return OracleResult(
-        log_det=value if not bad else -math.inf,
+        log_det=value,
         nodes_per_interval=n,
         smallest_one_minus_lambda=pivot,
-        error_estimate=abs(value - half) if not bad else math.inf,
-        unreliable=bad or pivot < 1e-300,
+        error_estimate=abs(value - half),
+        unreliable=pivot < 1e-300,
     )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,8 +89,14 @@ def _reduce_to_cell(d: complex, tau: complex) -> complex:
     return complex(d.real - k, d.imag)
 
 
+# Everything but s in an expansion depends on the gap alone, so an s-sweep
+# over one pair reuses its geometry; the bound keeps a long run's memory flat.
+@lru_cache(maxsize=32)
 def derive_geometry(gap: GapPair) -> DerivedGeometry:
     """Compute the full derived geometry for one gap pair.
+
+    Memoized on the (frozen, hashable) gap for the last 32 pairs; the
+    result is immutable, so every caller may share it.
 
     x1 x2 = (-I2 + (v1+v2)/2 I1)/I0 and x1 + x2 = (v1+v2)/2 pin the
     zeros of q; G0 = x1 x2 + 1/2 + (v2-v1)^2/8; Omega = 1/I0 and

@@ -1,0 +1,51 @@
+"""The benchmark's tracer wraps functions by name at every module that
+binds them (perfbench/tracer.py).  A refactor that renames, moves or
+re-signs one of them breaks the traced benchmark; these checks fail first.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+def _module(name):
+    return importlib.import_module(f"twingap.{name}")
+
+
+@pytest.mark.parametrize("name", sorted(tracer.SITES))
+def test_traced_function_bound_at_every_site(name):
+    home, attr = name.split(".")
+    fn = getattr(_module(home), attr)
+    assert callable(fn)
+    for site in tracer.SITES[name]:
+        # the tracer installs one wrapper of the home function at each site
+        assert getattr(_module(site), attr) is fn, f"twingap.{site}.{attr}"
+
+
+@pytest.mark.parametrize("attr", sorted(tracer.QUAD_SITES))
+def test_quadrature_helper_bound_at_every_site(attr):
+    fn = getattr(_module("elliptic"), attr)
+    for site in tracer.QUAD_SITES[attr]:
+        assert getattr(_module(site), attr) is fn, f"twingap.{site}.{attr}"
+    assert list(inspect.signature(fn).parameters) == ["f", "a", "b", "n"]
+    # positional call, as the tracer's wrapper makes it; the weight-only
+    # integrals are pi (both endpoints singular) and 2 (one endpoint)
+    want = math.pi if attr == "integrate_both_sqrt" else 2.0
+    assert fn(np.ones_like, 0.0, 1.0, 16) == pytest.approx(want, rel=1e-14)

@@ -55,6 +55,14 @@ def test_compare_two_gap_differences_shrink(capsys):
     assert all(r[5] == "0" for r in rows)
 
 
+def test_compare_oracle_refusal_exits_1(capsys):
+    code, out, err = run_cli(["compare", "--s-values", "48,64",
+                              "--v1", "-0.5", "--v2", "0.3"], capsys)
+    assert code == 1
+    assert "nan" not in out.lower()
+    assert "s=64" in err
+
+
 def test_compare_empty_range_is_usage_error(capsys):
     code, _, _ = run_cli(["compare", "--s-values", " ", "--onegap"], capsys)
     assert code == 2

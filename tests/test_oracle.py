@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from twingap import (DomainError, expansion_one_gap, fredholm_logdet,
-                     separation_factorization_gap, toeplitz_logdet)
+from twingap import (DomainError, OracleResult, expansion_one_gap,
+                     fredholm_logdet, separation_factorization_gap,
+                     toeplitz_logdet)
 from twingap.oracle import nystrom_eigenvalues, separation_geometry
 
 TWO_GAPS = [(-1.0, -0.5), (0.3, 1.0)]
@@ -64,6 +65,20 @@ def test_unreliable_flag_below_precision_floor():
     res = fredholm_logdet(16.0, [(-1.0, 1.0)], max_nodes=400)
     assert res.unreliable
     assert res.smallest_one_minus_lambda < 1e-12
+
+
+def test_refuses_eigenvalue_at_one():
+    # at s=64 round-off lifts an eigenvalue to 1 at 100 nodes per interval,
+    # where log(1 - lambda) is NaN
+    with pytest.raises(DomainError, match="s=64"):
+        fredholm_logdet(64.0, TWO_GAPS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_result_rejects_non_finite_log_det(bad):
+    with pytest.raises(DomainError):
+        OracleResult(log_det=bad, nodes_per_interval=50,
+                     smallest_one_minus_lambda=0.5, error_estimate=0.0)
 
 
 def test_toeplitz_cross_oracle():

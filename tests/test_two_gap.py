@@ -1,12 +1,17 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twingap import (DomainError, GapPair, abel_map, complete_elliptic,
-                     derive_geometry, elliptic_data, geometry_v2_limit_checks,
-                     q_polynomial, theta_eval)
-from twingap.elliptic import integrate_both_sqrt, _refine
+import twingap.two_gap
+from twingap import (DomainError, GapPair, Regime, abel_map, complete_elliptic,
+                     derive_geometry, elliptic_data, expansion_two_gap,
+                     geometry_v2_limit_checks, q_polynomial, select_regime,
+                     theta_eval)
+from twingap.elliptic import (integrate_both_sqrt, integrate_left_sqrt,
+                              integrate_right_sqrt, _leggauss, _refine)
 
 GRID = [GapPair(-0.8, -0.1), GapPair(-0.5, 0.3), GapPair(-0.2, 0.6),
         GapPair(-0.6, 0.6)]
@@ -157,3 +162,76 @@ def test_v2_limit_checks():
     finer = geometry_v2_limit_checks(GapPair(-0.5, 0.9999))
     for key in res:
         assert finer[key] < res[key]
+
+
+def _bits(x):
+    """A form of a geometry field in which equal means equal bits."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, tuple):
+        return tuple(_bits(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return {f.name: _bits(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return x
+
+
+@pytest.mark.parametrize("gap", GRID + [GapPair(-0.3, -0.29), GapPair(-0.2, 0.9999)])
+def test_memoized_geometry_is_bit_identical(gap):
+    derive_geometry.cache_clear()
+    first = derive_geometry(gap)
+    again = derive_geometry(GapPair(gap.v1, gap.v2))
+    assert again is first
+    assert _bits(first) == _bits(derive_geometry.__wrapped__(gap))
+
+
+def test_s_sweep_computes_moments_once(monkeypatch):
+    calls = []
+
+    def counting(gap):
+        calls.append(gap)
+        return elliptic_data(gap)
+
+    monkeypatch.setattr(twingap.two_gap, "elliptic_data", counting)
+    derive_geometry.cache_clear()
+    gap = GapPair(-0.5, 0.3)
+    for k in range(1, 9):
+        s = 2.0 ** k
+        # small s picks Separating here, which shares the two-gap formula
+        assert select_regime(s, gap)[0] in (Regime.FIXED_TWO_GAP,
+                                             Regime.SEPARATING)
+        expansion_two_gap(s, gap)
+    assert calls == [gap]
+
+
+def _inline_both(f, a, b, n):
+    t, w = _leggauss(n)
+    theta = (t + 1.0) * (math.pi / 4.0)
+    x = a + (b - a) * np.sin(theta) ** 2
+    return float(np.sum(w * (math.pi / 4.0) * 2.0 * f(x)))
+
+
+def _inline_left(f, a, b, n):
+    t, w = _leggauss(n)
+    u = (t + 1.0) / 2.0
+    x = b - (b - a) * u * u
+    return 2.0 * math.sqrt(b - a) * float(np.sum(w * 0.5 * f(x)))
+
+
+def _inline_right(f, a, b, n):
+    t, w = _leggauss(n)
+    u = (t + 1.0) / 2.0
+    x = a + (b - a) * u * u
+    return 2.0 * math.sqrt(b - a) * float(np.sum(w * 0.5 * f(x)))
+
+
+@pytest.mark.parametrize("n", [200, 6400])
+@pytest.mark.parametrize("cached, inline", [
+    (integrate_both_sqrt, _inline_both),
+    (integrate_left_sqrt, _inline_left),
+    (integrate_right_sqrt, _inline_right)])
+def test_cached_quadrature_rules_match_inline_formula(n, cached, inline):
+    # the moment integrand of I_2 at (-0.5, 0.3), on its A-cycle interval
+    f = lambda x: x ** 2 / np.sqrt((1.0 + x) * (x + 0.5))
+    assert cached(f, 0.3, 1.0, n) == inline(f, 0.3, 1.0, n)
