@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 
@@ -172,6 +171,10 @@ def toeplitz_logdet(s: float, v1: float, v2: float, n: int) -> OracleResult:
     via LU with partial pivoting; the relative smallest pivot is
     reported as the conditioning metric.
     """
+    # only this function uses scipy, whose import takes longer than the
+    # rest of `import twingap`
+    import scipy.linalg
+
     if n < 8 * s:
         raise DomainError(f"need n >= 8*s, got n={n}, s={s}")
     if not (-1.0 < v1 <= v2 < 1.0):

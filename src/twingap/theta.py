@@ -22,6 +22,12 @@ differentiation, never by finite differences.  Two numerical regimes:
 
 Truncation stops once the next term falls below 1e-17 of the running
 maximum; exceeding the term budget raises SeriesTruncationError.
+
+theta_eval also takes a numpy array of points, such as quadrature nodes
+on the real line.  The argument reduction, the half-period shifts and the
+binomial steps act on arrays as they are; only the two series sums have
+array forms, in which each point stops taking terms by the rule of a
+scalar call at that point.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, SeriesTruncationError
 
@@ -72,13 +80,23 @@ class ThetaConstants:
     theta3_pp: float
 
 
-def _reduce(z: complex, tau: complex) -> tuple[complex, int]:
+def _exp(w):
+    """cmath.exp of a number, np.exp of an array."""
+    return np.exp(w) if isinstance(w, np.ndarray) else cmath.exp(w)
+
+
+def _reduce(z, tau: complex):
     """Shift z by n*tau + m so that |Im z| <= Im tau / 2, |Re z| <= 1/2.
 
-    Returns the reduced point and the tau-shift count n; the integer
-    shift m needs no bookkeeping (period 1).
+    Returns the reduced point and the tau-shift count n (an array of
+    counts for an array of points); the integer shift m needs no
+    bookkeeping (period 1).
     """
-    n = int(round(z.imag / tau.imag))
+    if isinstance(z, np.ndarray):
+        n = np.round(z.imag / tau.imag)
+        z0 = z - n * tau
+        return z0 - np.round(z0.real), n
+    n = round(z.imag / tau.imag)
     z0 = z - n * tau
     z0 = z0 - round(z0.real)
     return z0, n
@@ -108,6 +126,35 @@ def _series_direct(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex]:
             raise SeriesTruncationError(
                 f"theta series did not converge within {ctx.max_terms} terms "
                 f"(last term ~ {size:.3e})", bound=size)
+
+
+def _series_direct_array(z0: np.ndarray, ctx: ThetaContext,
+                         kmax: int) -> list[np.ndarray]:
+    """_series_direct at every point of an array; a point stops taking
+    terms after the first m that stops the scalar sum at that point."""
+    tau = ctx.tau
+    vals = [np.ones(z0.shape, complex)] + [np.zeros(z0.shape, complex)
+                                           for _ in range(kmax)]
+    running = np.ones(z0.shape)
+    live = np.ones(z0.shape, bool)
+    m = 1
+    while True:
+        qm = cmath.exp(1j * math.pi * tau * m * m)
+        ep = np.exp(2j * math.pi * z0 * m) * qm
+        em = np.exp(-2j * math.pi * z0 * m) * qm
+        for k in range(kmax + 1):
+            c = (2j * math.pi * m) ** k
+            vals[k] += np.where(live, c * ep + (-1) ** k * c * em, 0j)
+        running = np.maximum(running, np.abs(vals[0]))
+        size = (2.0 * math.pi * m) ** kmax * (np.abs(ep) + np.abs(em))
+        live &= ~(size < _TRUNC_REL * running)
+        if not live.any():
+            return vals
+        m += 1
+        if m > ctx.max_terms:
+            raise SeriesTruncationError(
+                f"theta series did not converge within {ctx.max_terms} terms "
+                f"(last term ~ {size.max():.3e})", bound=float(size.max()))
 
 
 def _series_transform(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex]:
@@ -149,7 +196,44 @@ def _series_transform(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex
     return [pref * v for v in vals[: kmax + 1]]
 
 
-def _theta3_parts(z: complex, ctx: ThetaContext, kmax: int,
+def _series_transform_array(z0: np.ndarray, ctx: ThetaContext,
+                            kmax: int) -> list[np.ndarray]:
+    """_series_transform at every point of an array; a point stops taking
+    terms after the first k that stops the scalar sum at that point."""
+    t = ctx.tau.imag
+    a = math.pi / t
+    pref = 1.0 / cmath.sqrt(-1j * ctx.tau)
+    vals = [np.zeros(z0.shape, complex) for _ in range(4)]
+    k0 = np.round(z0.real)
+    k = 0
+    running = np.zeros(z0.shape)
+    live = np.ones(z0.shape, bool)
+    while True:
+        small = np.ones(z0.shape, bool)
+        for kk in ((k0,) if k == 0 else (k0 - k, k0 + k)):
+            u = kk - z0
+            e = np.exp(-a * u * u)
+            terms = (e,
+                     2.0 * a * u * e,
+                     (4.0 * a * a * u * u - 2.0 * a) * e,
+                     (8.0 * a ** 3 * u ** 3 - 12.0 * a * a * u) * e)
+            for j in range(4):
+                vals[j] += np.where(live, terms[j], 0j)
+            small &= ~(np.abs(e) >= 1e-5 * _TRUNC_REL * np.maximum(running, 1e-300))
+        running = np.maximum(running, np.abs(vals[0]))
+        if k > 0:
+            live &= ~small
+            if not live.any():
+                break
+        k += 1
+        if k > ctx.max_terms:
+            raise SeriesTruncationError(
+                "transformed theta series did not converge",
+                bound=float(np.abs(vals[0]).max()))
+    return [pref * v for v in vals[: kmax + 1]]
+
+
+def _theta3_parts(z, ctx: ThetaContext, kmax: int,
                   force_branch: str | None = None
                   ) -> tuple[complex, complex, list[complex]]:
     """(log_factor, rate, raw) with
@@ -160,26 +244,32 @@ def _theta3_parts(z: complex, ctx: ThetaContext, kmax: int,
     is kept in log form (rate = -2 pi i n is its z-derivative), so a
     caller can fold further exponential prefactors into one exp call.
     """
-    z0, n = _reduce(complex(z), ctx.tau)
+    z0, n = _reduce(z, ctx.tau)
     use_transform = abs(ctx.nome) > _NOME_SWITCH and abs(ctx.tau.real) < 1e-12
     if force_branch == "direct":
         use_transform = False
     elif force_branch == "transform":
         use_transform = True
-    raw = (_series_transform if use_transform else _series_direct)(z0, ctx, kmax)
-    if n == 0:
+    if isinstance(z0, np.ndarray):
+        series = _series_transform_array if use_transform else _series_direct_array
+        moved = n.any()
+    else:
+        series = _series_transform if use_transform else _series_direct
+        moved = n != 0
+    raw = series(z0, ctx, kmax)
+    if not moved:
         return 0j, 0j, raw
     logfac = -2j * math.pi * n * z0 - 1j * math.pi * n * n * ctx.tau
     return logfac, -2j * math.pi * n, raw
 
 
-def _theta3_derivs(z: complex, ctx: ThetaContext, kmax: int,
+def _theta3_derivs(z, ctx: ThetaContext, kmax: int,
                    force_branch: str | None = None) -> list[complex]:
     """theta_3^{(k)}(z) for k = 0..kmax, with argument reduction."""
     logfac, rate, raw = _theta3_parts(z, ctx, kmax, force_branch)
-    if rate == 0:
+    if isinstance(rate, complex) and rate == 0:
         return raw[: kmax + 1]
-    fac = cmath.exp(logfac)
+    fac = _exp(logfac)
     out = []
     for k in range(kmax + 1):
         acc = 0j
@@ -189,35 +279,43 @@ def _theta3_derivs(z: complex, ctx: ThetaContext, kmax: int,
     return out
 
 
-def _shifted(z: complex, ctx: ThetaContext, order: int, shift: complex,
-             pref_rate: complex, pref_const: complex) -> complex:
+def _shifted(z, ctx: ThetaContext, order: int, shift: complex,
+             pref_rate: complex, pref_const: complex):
     """order-th derivative of pref_const*exp(pref_rate*z)*theta_3(z+shift).
 
     Both the explicit prefactor and the reduction factor are
     exponentials linear in z, so they combine into a single exp and a
     single binomial pass with the summed rate.
     """
-    logfac, red_rate, raw = _theta3_parts(complex(z) + shift, ctx, order)
+    logfac, red_rate, raw = _theta3_parts(z + shift, ctx, order)
     rate = pref_rate + red_rate
     acc = 0j
     for j in range(order + 1):
         acc += _BINOM[order][j] * rate ** (order - j) * raw[j]
-    return pref_const * cmath.exp(pref_rate * complex(z) + logfac) * acc
+    return pref_const * _exp(pref_rate * z + logfac) * acc
 
 
-def theta_eval(j: int, z: complex, ctx: ThetaContext, order: int = 0) -> complex:
-    """theta_j^{(order)}(z; tau) for j in 1..4 and order in 0..3."""
+def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
+    """theta_j^{(order)}(z; tau) for j in 1..4 and order in 0..3.
+
+    z is a number, or a numpy array of points, which gives the array of
+    values at those points.
+    """
     if j not in (1, 2, 3, 4):
         raise DomainError(f"theta index must be 1..4, got {j}")
     if order not in (0, 1, 2, 3):
         raise DomainError(f"derivative order must be 0..3, got {order}")
-    if j == 1 and order % 2 == 0 and complex(z) == 0.0:
-        return 0j  # theta_1 is odd
+    if isinstance(z, np.ndarray):
+        z = z.astype(complex)
+    else:
+        z = complex(z)
+        if j == 1 and order % 2 == 0 and z == 0.0:
+            return 0j  # theta_1 is odd
     tau = ctx.tau
     if j == 3:
         return _theta3_derivs(z, ctx, order)[order]
     if j == 4:
-        return _theta3_derivs(complex(z) + 0.5, ctx, order)[order]
+        return _theta3_derivs(z + 0.5, ctx, order)[order]
     quarter = cmath.exp(1j * math.pi * tau / 4.0)
     if j == 1:
         return _shifted(z, ctx, order, shift=-(tau + 1.0) / 2.0,
@@ -265,6 +363,7 @@ def theta3_modular_residual(z: complex, ctx: ThetaContext) -> float:
     Both sides are summed independently (no regime switching), so this
     measures the internal consistency of the two evaluation branches.
     """
+    z = complex(z)
     direct = _theta3_derivs(z, ctx, 0, force_branch="direct")[0]
     transf = _theta3_derivs(z, ctx, 0, force_branch="transform")[0]
     return abs(direct - transf)

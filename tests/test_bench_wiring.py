@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps functions by name at every module that
 binds them (perfbench/tracer.py).  A refactor that renames, moves or
 re-signs one of them breaks the traced benchmark; these checks fail first.
+So does one that stops making a call a workload must make
+(perfbench/spec.py EXPECTED), such as a Gauss rule cached across calls.
 """
 
 import importlib
@@ -12,17 +14,18 @@ import pathlib
 import numpy as np
 import pytest
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 
 
 def _module(name):
@@ -49,3 +52,25 @@ def test_quadrature_helper_bound_at_every_site(attr):
     # integrals are pi (both endpoints singular) and 2 (one endpoint)
     want = math.pi if attr == "integrate_both_sqrt" else 2.0
     assert fn(np.ones_like, 0.0, 1.0, 16) == pytest.approx(want, rel=1e-14)
+
+
+def test_identity_op_makes_every_expected_call():
+    # as perfbench/worker.py runs a traced identity_sweep: warm-up, reset,
+    # then timed operations, which must make every EXPECTED call; each
+    # operation builds its own Gauss rule (none is cached across calls)
+    import twingap
+    bench_spec, workloads = _load("spec"), _load("workloads")
+    wl = "identity_sweep"
+    tr = tracer.Tracer()
+    tr.install(twingap)
+    try:
+        for item in workloads.warmup(wl, seed=0):
+            workloads.identity_op(twingap, item)
+        tr.reset()
+        for item in workloads.stream(wl, 0, [], 2):
+            tr.run_op(workloads.identity_op, twingap, item)
+    finally:
+        tr.uninstall()
+    seen = {**tr.calls, **{k: v for k, v in tr.counts.items() if v}}
+    assert [name for name in bench_spec.EXPECTED[wl] if not seen.get(name)] == []
+    assert tr.calls["identities.leggauss"] == 2

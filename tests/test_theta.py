@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,12 +149,37 @@ def test_against_mpmath_reference():
     mpmath.mp.dps = 25
     q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(0, CTX.tau.imag))
     rng = [(-1.3, 0.4), (0.75, 0.0), (0.31, 0.22), (1.9, -0.6), (-0.25, 0.0)]
-    for re, im in rng:
-        z = complex(re, im)
-        for j in (1, 2, 3, 4):
-            for order in (0, 1, 2, 3):
-                mine = theta_eval(j, z, CTX, order)
+    zs = np.array([complex(re, im) for re, im in rng])
+    for j in (1, 2, 3, 4):
+        for order in (0, 1, 2, 3):
+            # the same points once more, as one array
+            mine_all = theta_eval(j, zs, CTX, order)
+            for z, mine_arr in zip(zs, mine_all):
+                mine = theta_eval(j, complex(z), CTX, order)
                 ref = complex(mpmath.jtheta(j, mpmath.pi * z, q,
                                             derivative=order))
                 ref *= math.pi ** order
                 assert abs(mine - ref) < 1e-12 * max(1.0, abs(ref)), (j, z, order)
+                assert abs(mine_arr - ref) < 1e-12 * max(1.0, abs(ref)), (j, z, order)
+
+
+@pytest.mark.parametrize("t", [0.15, CTX.tau.imag])
+def test_array_matches_scalar(t):
+    # real-line nodes shifted as the period-integral lemmas shift them;
+    # t = 0.15 (nome 0.62) takes the modular-transform sum, CTX the
+    # defining series.  numpy rounds a complex product differently from
+    # Python, so near a zero of theta_j^(order) the two agree to the
+    # rounding of the sum, not of the value: the error is measured
+    # against the largest value on the same points.
+    ctx = ThetaContext.from_tau(1j * t)
+    assert (abs(ctx.nome) > 0.5) == (t < 0.2)
+    d, u = 0.2 + 0.3j * t, 0.37
+    x = (np.polynomial.legendre.leggauss(64)[0] + 1.0) / 2.0
+    for shift in (0.0, -d, u + d, 0.5):
+        zs = x + shift
+        for j in (1, 2, 3, 4):
+            for order in (0, 1, 2, 3):
+                arr = theta_eval(j, zs, ctx, order)
+                ref = np.array([theta_eval(j, complex(z), ctx, order) for z in zs])
+                assert arr.shape == zs.shape
+                assert np.abs(arr - ref).max() <= 1e-13 * np.abs(ref).max(), (j, shift, order)
