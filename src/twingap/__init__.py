@@ -10,13 +10,12 @@ if _cap:
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _cap)
 
-from .asymptotics import (ExpansionBreakdown, Regime, RegimeThresholds,
-                          WIDOM_DYSON_C0, barnes_g_int, expansion_merging,
+from .asymptotics import (ExpansionBreakdown, Regime, WIDOM_DYSON_C0,
+                          barnes_g_int, expand, expansion_merging,
                           expansion_merging_limit, expansion_one_gap,
                           expansion_two_gap, legendre_kappa, nearest_frac,
                           select_regime)
-from .elliptic import (EllipticData, GapPair, complete_elliptic, elliptic_data,
-                       elliptic_v2_derivatives, tail_integral)
+from .elliptic import EllipticData, GapPair, elliptic_data, tail_integral
 from .errors import (AmbiguousRegimeError, DomainError,
                      IllConditionedGeometryError, SeriesTruncationError,
                      TwinGapError)
@@ -25,26 +24,23 @@ from .identities import (ResidualReport, derivative_identity_residuals, g1hat,
                          theta_identity_residual, theta_integral_residuals)
 from .oracle import (OracleResult, fredholm_logdet, separation_factorization_gap,
                      toeplitz_logdet)
-from .theta import (ThetaConstants, ThetaContext, theta_constants, theta_eval,
-                    theta_quasi_period_residual, theta3_modular_residual)
-from .two_gap import (DerivedGeometry, abel_map, derive_geometry,
-                      geometry_v2_limit_checks, q_polynomial)
+from .theta import (ThetaContext, theta_eval, theta_quasi_period_residual,
+                    theta3_modular_residual)
+from .two_gap import DerivedGeometry, abel_map, derive_geometry
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousRegimeError", "DerivedGeometry", "DomainError", "EllipticData",
     "ExpansionBreakdown", "GapPair", "IllConditionedGeometryError",
-    "OracleResult", "Regime", "RegimeThresholds", "ResidualReport",
-    "SeriesTruncationError", "ThetaConstants", "ThetaContext", "TwinGapError",
-    "WIDOM_DYSON_C0", "abel_map", "barnes_g_int", "complete_elliptic",
-    "derivative_identity_residuals", "derive_geometry", "elliptic_data",
-    "elliptic_v2_derivatives", "expansion_merging", "expansion_merging_limit",
+    "OracleResult", "Regime", "ResidualReport", "SeriesTruncationError",
+    "ThetaContext", "TwinGapError", "WIDOM_DYSON_C0", "abel_map",
+    "barnes_g_int", "derivative_identity_residuals", "derive_geometry",
+    "elliptic_data", "expand", "expansion_merging", "expansion_merging_limit",
     "expansion_one_gap", "expansion_two_gap", "fredholm_logdet", "g1hat",
-    "geometry_v2_limit_checks", "legendre_kappa", "nearest_frac",
-    "period_relation_residual", "q_polynomial", "run_suite",
+    "legendre_kappa", "nearest_frac", "period_relation_residual", "run_suite",
     "select_regime", "separation_factorization_gap", "tail_integral",
-    "theta3_modular_residual", "theta_constants", "theta_eval",
-    "theta_identity_residual", "theta_integral_residuals",
-    "theta_quasi_period_residual", "toeplitz_logdet",
+    "theta3_modular_residual", "theta_eval", "theta_identity_residual",
+    "theta_integral_residuals", "theta_quasi_period_residual",
+    "toeplitz_logdet",
 ]

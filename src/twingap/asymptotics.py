@@ -15,6 +15,9 @@ ExpansionBreakdown:
 * merging limit:              the expansion of the two-gap formula for
                               nu = (v2-v1)/2 -> 0 with s nu -> 0
 
+expand(s, gap, regime) dispatches to the formula of a regime, or of
+the one select_regime picks.
+
 c0 is the Widom-Dyson constant (1/12) log 2 + 3 zeta'(-1).  zeta'(-1)
 is not evaluable by this package's own kernels; the frozen value below
 was derived independently at 50-digit precision from the Glaisher
@@ -25,19 +28,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .elliptic import GapPair
 from .errors import AmbiguousRegimeError, DomainError
 from .theta import theta_eval
-from .two_gap import DerivedGeometry, derive_geometry
+from .two_gap import derive_geometry
 
-__all__ = ["Regime", "ExpansionBreakdown", "RegimeThresholds",
-           "WIDOM_DYSON_C0", "ZETA_PRIME_AT_MINUS_ONE",
-           "expansion_one_gap", "expansion_two_gap", "expansion_merging",
-           "expansion_merging_limit", "merging_parameters", "legendre_kappa",
-           "barnes_g_int", "nearest_frac", "select_regime",
-           "two_gap_constant_theorem_form"]
+__all__ = ["Regime", "ExpansionBreakdown", "WIDOM_DYSON_C0",
+           "ZETA_PRIME_AT_MINUS_ONE", "expand", "expansion_one_gap",
+           "expansion_two_gap", "expansion_merging", "expansion_merging_limit",
+           "merging_parameters", "legendre_kappa", "barnes_g_int",
+           "nearest_frac", "select_regime"]
 
 # zeta'(-1) = 1/12 - log(Glaisher A); frozen from a 50-digit derivation
 # (scripts/derive_constants.py)
@@ -108,50 +110,24 @@ def expansion_one_gap(s: float) -> ExpansionBreakdown:
     )
 
 
-def two_gap_constant_theorem_form(geom: DerivedGeometry) -> float:
-    """The s-independent constant -1/2 log(I0/pi) - 1/8 sum log|q(y)| + 2 c0.
-
-    Paired with the bare log theta3(s Omega) term this is an equivalent
-    form of the two-gap constant; expansion_two_gap(form="theorem") uses
-    it, and its agreement with the ratio form is a numerical proof of
-    the theta-constant identity theta3(0)^4 = (I0/pi)^2 (1-v1)(1+v2).
-    """
-    logq = sum(math.log(q) for q in geom.q_at)
-    return (-0.5 * math.log(geom.elliptic.I0 / math.pi)
-            - 0.125 * logq + 2.0 * WIDOM_DYSON_C0)
-
-
-def expansion_two_gap(s: float, gap: GapPair,
-                      geom: DerivedGeometry | None = None,
-                      form: str = "ratio") -> ExpansionBreakdown:
+def expansion_two_gap(s: float, gap: GapPair) -> ExpansionBreakdown:
     """Fixed-geometry two-gap expansion of log det(I - K_s).
 
-    form="ratio" carries the oscillation as log(theta3(s Omega)/theta3(0))
-    with the constant (1/4) log((1-v1)(1+v2)) - (1/8) sum log|q(y)| + 2 c0;
-    form="theorem" carries bare log theta3(s Omega) with the constant from
-    two_gap_constant_theorem_form.  The two agree to round-off.
+    The oscillation is carried as log(theta3(s Omega)/theta3(0)), with
+    the constant (1/4) log((1-v1)(1+v2)) - (1/8) sum log|q(y)| + 2 c0.
     """
     _require_positive_s(s)
-    if geom is None:
-        geom = derive_geometry(gap)
+    geom = derive_geometry(gap)
     ctx = geom.theta_context()
     th_s = theta_eval(3, s * geom.Omega, ctx).real
-    if form == "ratio":
-        th_0 = theta_eval(3, 0.0, ctx).real
-        theta_term = math.log(th_s / th_0)
-        constant = (0.25 * math.log((1.0 - gap.v1) * (1.0 + gap.v2))
-                    - 0.125 * sum(math.log(q) for q in geom.q_at)
-                    + 2.0 * WIDOM_DYSON_C0)
-    elif form == "theorem":
-        theta_term = math.log(th_s)
-        constant = two_gap_constant_theorem_form(geom)
-    else:
-        raise DomainError(f"unknown form {form!r}")
+    th_0 = theta_eval(3, 0.0, ctx).real
     return ExpansionBreakdown(
         leading_s2=-s * s * geom.G0,
         log_s_term=-0.5 * math.log(s),
-        theta_term=theta_term,
-        constant_term=constant,
+        theta_term=math.log(th_s / th_0),
+        constant_term=(0.25 * math.log((1.0 - gap.v1) * (1.0 + gap.v2))
+                       - 0.125 * sum(math.log(q) for q in geom.q_at)
+                       + 2.0 * WIDOM_DYSON_C0),
         regime=Regime.FIXED_TWO_GAP,
         error_order="O(1/s)",
     )
@@ -291,43 +267,60 @@ def expansion_merging_limit(s: float, gap: GapPair) -> ExpansionBreakdown:
     )
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Crossover constants for regime selection.
-
-    The governing theorems give only asymptotic regimes; these desk-scale
-    thresholds are engineering choices and deliberately configurable.
-    """
-
-    merging_product: float = 0.1       # s*nu*log(1/nu) below this -> Merging
-    merging_snu: float = 0.1           # s*nu below this -> MergingLimit
-    separating_scale: float = 10.0     # (1 -+ v)*s below this -> Separating
-    separating_nu_floor: float = 0.05  # nu above this keeps the band "open"
+# Crossover constants of select_regime.  The governing theorems give only
+# asymptotic regimes; these desk-scale thresholds are engineering choices.
+_MERGING_PRODUCT = 0.1       # s*nu*log(1/nu) below this -> Merging
+_MERGING_SNU = 0.1           # s*nu below this -> MergingLimit
+_SEPARATING_SCALE = 10.0     # (1 -+ v)*s below this -> Separating
+_SEPARATING_NU_FLOOR = 0.05  # nu above this keeps the band "open"
 
 
-def select_regime(s: float, gap: GapPair,
-                  thresholds: RegimeThresholds = RegimeThresholds()
-                  ) -> tuple[Regime, str]:
+def select_regime(s: float, gap: GapPair) -> tuple[Regime, str]:
     """Pick the natural expansion for (s, gap) and explain the choice."""
     _require_positive_s(s)
-    th = thresholds
     nu = gap.nu
     edge = min((1.0 - gap.v2) * s, (1.0 + gap.v1) * s)
-    merging_like = s * nu * math.log(1.0 / nu) < th.merging_product if nu < 1 else False
-    limit_like = (s ** (-1.25) < 2.0 * nu) and (s * nu < th.merging_snu)
-    separating_like = edge < th.separating_scale and nu > th.separating_nu_floor
+    merging_like = s * nu * math.log(1.0 / nu) < _MERGING_PRODUCT
+    limit_like = (s ** (-1.25) < 2.0 * nu) and (s * nu < _MERGING_SNU)
+    separating_like = edge < _SEPARATING_SCALE and nu > _SEPARATING_NU_FLOOR
     if (merging_like or limit_like) and separating_like:
         raise AmbiguousRegimeError(
             f"gap pair {gap} at s={s} looks both merging and separating")
     if merging_like:
         return Regime.MERGING, (
             f"s*nu*log(1/nu) = {s * nu * math.log(1.0 / nu):.3g} "
-            f"< {th.merging_product}")
+            f"< {_MERGING_PRODUCT}")
     if limit_like:
         return Regime.MERGING_LIMIT, (
             f"s^(-5/4) < 2*nu = {2 * nu:.3g} and s*nu = {s * nu:.3g} "
-            f"< {th.merging_snu}")
+            f"< {_MERGING_SNU}")
     if separating_like:
         return Regime.SEPARATING, (
-            f"min edge scale (1 -+ v)*s = {edge:.3g} < {th.separating_scale}")
+            f"min edge scale (1 -+ v)*s = {edge:.3g} < {_SEPARATING_SCALE}")
     return Regime.FIXED_TWO_GAP, "all scales are O(1)"
+
+
+def expand(s: float, gap: GapPair, regime: str = "auto") -> ExpansionBreakdown:
+    """The expansion of log det(I - K_s) in the given regime.
+
+    regime is a Regime or its value; "auto" takes the one select_regime
+    picks.  Separating uses the fixed two-gap closed form: only the
+    regime tag and the error order of the extension theorem differ.
+    """
+    if regime == "auto":
+        regime = select_regime(s, gap)[0]
+    try:
+        regime = Regime(regime)
+    except ValueError:
+        raise DomainError(f"unknown regime {regime!r}") from None
+    if regime is Regime.FIXED_TWO_GAP:
+        return expansion_two_gap(s, gap)
+    if regime is Regime.SEPARATING:
+        return replace(
+            expansion_two_gap(s, gap), regime=Regime.SEPARATING,
+            error_order="O(max{1/((1-v2)s), 1/((1+v1)s)})")
+    if regime is Regime.MERGING:
+        return expansion_merging(s, gap)
+    if regime is Regime.MERGING_LIMIT:
+        return expansion_merging_limit(s, gap)
+    return expansion_one_gap(s)

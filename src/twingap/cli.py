@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -44,37 +45,14 @@ def _parse_gap(args) -> "GapPair":
 
 
 def cmd_asymp(args) -> int:
-    from .asymptotics import (Regime, expansion_merging,
-                              expansion_merging_limit, expansion_one_gap,
-                              expansion_two_gap, select_regime)
+    from .asymptotics import expand, expansion_one_gap
     from .errors import TwinGapError
 
     try:
         if args.onegap:
             breakdown = expansion_one_gap(args.s)
         else:
-            gap = _parse_gap(args)
-            regime = args.regime
-            if regime == "auto":
-                regime = select_regime(args.s, gap)[0].value
-            if regime == Regime.FIXED_TWO_GAP.value:
-                breakdown = expansion_two_gap(args.s, gap)
-            elif regime == Regime.SEPARATING.value:
-                # same closed form; only the regime tag and the error
-                # order of the extension theorem differ
-                import dataclasses
-                breakdown = dataclasses.replace(
-                    expansion_two_gap(args.s, gap),
-                    regime=Regime.SEPARATING,
-                    error_order="O(max{1/((1-v2)s), 1/((1+v1)s)})")
-            elif regime == Regime.MERGING.value:
-                breakdown = expansion_merging(args.s, gap)
-            elif regime == Regime.MERGING_LIMIT.value:
-                breakdown = expansion_merging_limit(args.s, gap)
-            elif regime == Regime.ONE_GAP.value:
-                breakdown = expansion_one_gap(args.s)
-            else:
-                return _usage_error(f"unknown regime {regime!r}")
+            breakdown = expand(args.s, _parse_gap(args), args.regime)
     except TwinGapError as exc:
         return _usage_error(str(exc))
 
@@ -108,36 +86,38 @@ def cmd_compare(args) -> int:
     from .asymptotics import expansion_one_gap, expansion_two_gap
     from .errors import TwinGapError
     from .oracle import fredholm_logdet
-    from .two_gap import derive_geometry
 
     try:
         svals = [float(tok) for tok in args.s_values.split(",") if tok.strip()]
-        if not svals:
-            return _usage_error("empty s-range")
-        if any(s <= 0 for s in svals):
-            return _usage_error("s values must be positive")
+    except ValueError as exc:
+        return _usage_error(f"bad --s-values: {exc}")
+    if not svals:
+        return _usage_error("empty s-range")
+    if any(s <= 0 for s in svals):
+        return _usage_error("s values must be positive")
+    if not all(math.isfinite(s) for s in svals):
+        return _usage_error("s values must be finite")
+    try:
         if args.onegap:
             intervals = [(-1.0, 1.0)]
-            predict = lambda s: expansion_one_gap(s).total
+            asym = [expansion_one_gap(s).total for s in svals]
         else:
             gap = _parse_gap(args)
-            geom = derive_geometry(gap)
             intervals = [(-1.0, gap.v1), (gap.v2, 1.0)]
-            predict = lambda s: expansion_two_gap(s, gap, geom).total
+            asym = [expansion_two_gap(s, gap).total for s in svals]
     except TwinGapError as exc:
         return _usage_error(str(exc))
 
     lines = ["s,asym_total,oracle_logdet,difference,oracle_error_estimate,unreliable_flag"]
-    for s in svals:
-        asym = predict(s)
+    for s, pred in zip(svals, asym):
         try:
             res = fredholm_logdet(s, intervals, max_nodes=args.max_nodes)
         except TwinGapError as exc:
             sys.stderr.write(f"error: oracle refused: {exc}\n")
             return 1
         lines.append(",".join([
-            _fmt(s), _fmt(asym), _fmt(res.log_det),
-            _fmt(asym - res.log_det), _fmt(res.error_estimate),
+            _fmt(s), _fmt(pred), _fmt(res.log_det),
+            _fmt(pred - res.log_det), _fmt(res.error_estimate),
             "1" if res.unreliable else "0"]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -7,11 +7,11 @@ moment integrals
     I_j = int_{v2}^{1} x^j / sqrt(|p(x)|) dx      (A-cycle)
     J_j = int_{v1}^{v2} x^j / sqrt(|p(x)|) dx     (B-cycle)
 
-for j = 0, 1, 2, together with the complete integrals K, E and the tail
-integral over (-inf, -1).  The 1/sqrt endpoint singularities are removed
-by trigonometric substitution before Gauss-Legendre quadrature, so plain
-fixed-order rules converge spectrally; node counts are doubled until two
-successive values agree to ~1e-13.
+for j = 0, 1, 2, together with the tail integral over (-inf, -1).  The
+1/sqrt endpoint singularities are removed by trigonometric substitution
+before Gauss-Legendre quadrature, so plain fixed-order rules converge
+spectrally; node counts are doubled until two successive values agree to
+~1e-13.
 """
 
 from __future__ import annotations
@@ -154,31 +154,7 @@ def integrate_right_sqrt(f, a: float, b: float, n: int) -> float:
     return 2.0 * math.sqrt(b - a) * float(np.sum(wh * f(x)))
 
 
-def complete_elliptic(v: float) -> tuple[float, float]:
-    """Complete elliptic integrals (K(v), E(v)) of modulus v in [0, 1).
-
-    K by the arithmetic-geometric mean, E by the companion sum
-    E/K = 1 - sum 2^(n-1) c_n^2 with c_0 = v.  Quadratic convergence
-    terminates in at most ~8 iterations at double precision.
-    """
-    if not (0.0 <= v < 1.0):
-        raise DomainError(f"complete_elliptic requires 0 <= v < 1, got {v}")
-    a, b = 1.0, math.sqrt(1.0 - v * v)
-    c = v
-    csum = 0.5 * c * c  # 2^{n-1} c_n^2 starting at n = 0
-    pow2 = 0.5
-    for _ in range(40):
-        if abs(a - b) < 1e-16 * a:
-            break
-        a, b, c = (a + b) / 2.0, math.sqrt(a * b), (a - b) / 2.0
-        pow2 *= 2.0
-        csum += pow2 * c * c
-    K = math.pi / (2.0 * a)
-    E = K * (1.0 - csum)
-    return K, E
-
-
-def elliptic_data(gap: GapPair, tol: float = _QUAD_TOL) -> EllipticData:
+def elliptic_data(gap: GapPair) -> EllipticData:
     """The six moment integrals I_j, J_j for a valid gap pair.
 
     On (v2, 1):  |p| = (x - v2)(1 - x) * (1 + x)(x - v1), and the first
@@ -193,36 +169,17 @@ def elliptic_data(gap: GapPair, tol: float = _QUAD_TOL) -> EllipticData:
 
     def I_j(j: int) -> float:
         f = lambda x: x ** j / np.sqrt((1.0 + x) * (x - v1))
-        return _refine(lambda n: integrate_both_sqrt(f, v2, 1.0, n), tol=tol)
+        return _refine(lambda n: integrate_both_sqrt(f, v2, 1.0, n))
 
     def J_j(j: int) -> float:
         f = lambda x: x ** j / np.sqrt((1.0 - x) * (1.0 + x))
-        return _refine(lambda n: integrate_both_sqrt(f, v1, v2, n), tol=tol)
+        return _refine(lambda n: integrate_both_sqrt(f, v1, v2, n))
 
     return EllipticData(I0=I_j(0), I1=I_j(1), I2=I_j(2),
                         J0=J_j(0), J1=J_j(1), J2=J_j(2))
 
 
-def elliptic_v2_derivatives(gap: GapPair) -> tuple[float, float, float, float]:
-    """Closed-form (dI0, dI1, dI2, dJ0) with respect to the edge v2.
-
-    dI0 = (-I2 + (v1+v2)/2 I1 + v2 (v2-v1)/2 I0) / ((1-v2^2)(v2-v1)),
-    dI1 = I0/2 + v2 dI0,
-    dI2 = v2^2 dI0 + I1/2 + v2 I0/2,
-    and dJ0 takes the same rational form as dI0 with J's in place of I's.
-    """
-    v1, v2 = gap.v1, gap.v2
-    e = elliptic_data(gap)
-    denom = (1.0 - v2 * v2) * (v2 - v1)
-    mid = 0.5 * (v1 + v2)
-    dI0 = (-e.I2 + mid * e.I1 + 0.5 * v2 * (v2 - v1) * e.I0) / denom
-    dI1 = 0.5 * e.I0 + v2 * dI0
-    dI2 = v2 * v2 * dI0 + 0.5 * e.I1 + 0.5 * v2 * e.I0
-    dJ0 = (-e.J2 + mid * e.J1 + 0.5 * v2 * (v2 - v1) * e.J0) / denom
-    return dI0, dI1, dI2, dJ0
-
-
-def tail_integral(gap: GapPair, tol: float = _QUAD_TOL) -> float:
+def tail_integral(gap: GapPair) -> float:
     """int_{-inf}^{-1} dx / sqrt(p(x)), real and positive.
 
     The substitution x = -1/t maps onto t in (0, 1]:
@@ -236,4 +193,4 @@ def tail_integral(gap: GapPair, tol: float = _QUAD_TOL) -> float:
     def f(t):
         return 1.0 / np.sqrt((1.0 + t) * (1.0 + v1 * t) * (1.0 + v2 * t))
 
-    return _refine(lambda n: integrate_left_sqrt(f, 0.0, 1.0, n), tol=tol)
+    return _refine(lambda n: integrate_left_sqrt(f, 0.0, 1.0, n))

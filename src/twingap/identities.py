@@ -185,24 +185,18 @@ def period_relation_residual(gap: GapPair) -> ResidualReport:
                    {"v1": gap.v1, "v2": gap.v2}, "period_relation")
 
 
-def g1hat(gap: GapPair, geom: DerivedGeometry | None = None,
-          theta_pp_shortcut: bool = False) -> float:
+def g1hat(gap: GapPair, geom: DerivedGeometry | None = None) -> float:
     """The log s prefactor functional; equals -1/2 for every gap pair.
 
     g1hat = -(1/16) sum_y (1/q(y)) (h(y) + theta3''/(theta3 I0^2)) over
-    the branch points y, with signed q.  theta_pp_shortcut replaces the
-    series value of theta3''/theta3 by its elliptic closed form
-    2 I0^2 (x1 x2 + (v2-v1)/2).
+    the branch points y, with signed q.
     """
     if geom is None:
         geom = derive_geometry(gap)
     v1, v2 = gap.v1, gap.v2
     I0 = geom.elliptic.I0
-    if theta_pp_shortcut:
-        ratio = 2.0 * I0 ** 2 * (geom.x1 * geom.x2 + (v2 - v1) / 2.0)
-    else:
-        ctx = geom.theta_context()
-        ratio = (theta_eval(3, 0.0, ctx, 2) / theta_eval(3, 0.0, ctx)).real
+    ctx = geom.theta_context()
+    ratio = (theta_eval(3, 0.0, ctx, 2) / theta_eval(3, 0.0, ctx)).real
     total = 0.0
     for y in (-1.0, v1, v2, 1.0):
         qy = (y - geom.x1) * (y - geom.x2)

@@ -17,7 +17,8 @@ Two routes, sharing no code with the asymptotic expansions:
 Because 0 <= K_s <= I, every Nystrom eigenvalue sits in [0, 1); as the
 largest one approaches 1 the log-determinant loses digits, so results
 are flagged unreliable once 1 - lambda_max < 1e-12 (log det below about
--30 is out of reach in double precision).  Once round-off pushes an
+-30 is out of reach in double precision), and also when node doubling
+ends before two successive values agree.  Once round-off pushes an
 eigenvalue to 1 or beyond, log(1 - lambda) does not exist and the
 Nystrom route refuses with DomainError rather than return NaN.
 """
@@ -37,6 +38,10 @@ __all__ = ["OracleResult", "fredholm_logdet", "toeplitz_logdet",
            "nystrom_eigenvalues"]
 
 CONDITIONING_FLOOR = 1e-12
+# Nystrom node doubling starts here (nodes per interval) and stops once two
+# successive log-determinants agree to _TOL
+_START_NODES = 50
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,13 +115,14 @@ def _nystrom_pass(s: float, intervals, m: int) -> tuple[float, float]:
 
 
 def fredholm_logdet(s: float, intervals: Sequence[tuple[float, float]],
-                    start_nodes: int = 50, max_nodes: int = 800,
-                    tol: float = 1e-10) -> OracleResult:
+                    max_nodes: int = 800) -> OracleResult:
     """Nystrom log det(I - K_s) on a union of disjoint intervals.
 
-    Node counts double from start_nodes until two successive values
-    agree to tol, the conditioning floor is hit, or max_nodes is
-    reached.  An empty interval list gives log det(I) = 0.
+    Node counts double from 50 per interval until two successive values
+    agree to 1e-10, the conditioning floor is hit, or max_nodes is
+    reached.  The result is flagged unreliable at the floor and when the
+    last two values did not agree to 1e-10, including when max_nodes
+    allows only one pass.  An empty interval list gives log det(I) = 0.
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"s must be positive, got {s}")
@@ -125,7 +131,7 @@ def fredholm_logdet(s: float, intervals: Sequence[tuple[float, float]],
         return OracleResult(log_det=0.0, nodes_per_interval=0,
                             smallest_one_minus_lambda=1.0, error_estimate=0.0)
     _check_intervals(intervals)
-    m = start_nodes
+    m = _START_NODES
     value, floor = _nystrom_pass(s, intervals, m)
     err = math.inf
     while m < max_nodes:
@@ -133,14 +139,14 @@ def fredholm_logdet(s: float, intervals: Sequence[tuple[float, float]],
         new, floor = _nystrom_pass(s, intervals, m)
         err = abs(new - value)
         value = new
-        if err <= tol or floor < CONDITIONING_FLOOR:
+        if err <= _TOL or floor < CONDITIONING_FLOOR:
             break
     return OracleResult(
         log_det=value,
         nodes_per_interval=m,
         smallest_one_minus_lambda=floor,
         error_estimate=err if math.isfinite(err) else abs(value),
-        unreliable=floor < CONDITIONING_FLOOR,
+        unreliable=floor < CONDITIONING_FLOOR or not err <= _TOL,
     )
 
 

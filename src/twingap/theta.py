@@ -68,18 +68,6 @@ class ThetaContext:
         return cls(tau=tau, nome=cmath.exp(1j * math.pi * tau), max_terms=max_terms)
 
 
-@dataclass(frozen=True)
-class ThetaConstants:
-    """Values and z-derivatives at z = 0 (theta_1(0) = 0 is omitted)."""
-
-    theta2: float
-    theta3: float
-    theta4: float
-    theta1_prime: float
-    theta1_ppp: float
-    theta3_pp: float
-
-
 def _exp(w):
     """cmath.exp of a number, np.exp of an array."""
     return np.exp(w) if isinstance(w, np.ndarray) else cmath.exp(w)
@@ -322,22 +310,6 @@ def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
                         pref_rate=-1j * math.pi, pref_const=1j * quarter)
     return _shifted(z, ctx, order, shift=-tau / 2.0,
                     pref_rate=-1j * math.pi, pref_const=quarter)
-
-
-def theta_constants(ctx: ThetaContext) -> ThetaConstants:
-    """Series values/derivatives at z = 0.
-
-    For purely imaginary tau all six numbers are real; tiny imaginary
-    round-off is discarded.
-    """
-    t2 = theta_eval(2, 0.0, ctx).real
-    t3 = theta_eval(3, 0.0, ctx).real
-    t4 = theta_eval(4, 0.0, ctx).real
-    t1p = theta_eval(1, 0.0, ctx, order=1).real
-    t1ppp = theta_eval(1, 0.0, ctx, order=3).real
-    t3pp = theta_eval(3, 0.0, ctx, order=2).real
-    return ThetaConstants(theta2=t2, theta3=t3, theta4=t4,
-                          theta1_prime=t1p, theta1_ppp=t1ppp, theta3_pp=t3pp)
 
 
 # quasi-period factors under z -> z + tau, as multiples of

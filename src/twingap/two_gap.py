@@ -35,8 +35,7 @@ from .elliptic import (EllipticData, GapPair, elliptic_data,
 from .errors import DomainError
 from .theta import ThetaContext
 
-__all__ = ["DerivedGeometry", "derive_geometry", "abel_map", "q_polynomial",
-           "branch_point_u", "geometry_v2_limit_checks"]
+__all__ = ["DerivedGeometry", "derive_geometry", "abel_map", "branch_point_u"]
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,8 @@ class DerivedGeometry:
     def v2(self) -> float:
         return self.gap.v2
 
-    def theta_context(self, max_terms: int = 4000) -> ThetaContext:
-        return ThetaContext.from_tau(self.tau, max_terms=max_terms)
-
-
-def q_polynomial(z: float, geom: DerivedGeometry) -> float:
-    """The monic quadratic q(z) = (z - x1)(z - x2)."""
-    return (z - geom.x1) * (z - geom.x2)
+    def theta_context(self) -> ThetaContext:
+        return ThetaContext.from_tau(self.tau)
 
 
 def _reduce_to_cell(d: complex, tau: complex) -> complex:
@@ -155,9 +149,6 @@ def abel_map(z: float, gap: GapPair, geom: DerivedGeometry | None = None) -> com
     e = geom.elliptic
     tau = geom.tau
 
-    def absp(x):
-        return np.abs((x * x - 1.0) * (x - v1) * (x - v2))
-
     if math.isinf(z):
         c = tail_integral(gap) / (2.0 * e.I0)
         return -tau / 2.0 - 0.5 + 1j * c
@@ -184,23 +175,3 @@ def abel_map(z: float, gap: GapPair, geom: DerivedGeometry | None = None) -> com
         return -tau / 2.0 - 0.5 + 1j * val / (2.0 * e.I0)
     raise DomainError(
         f"abel_map is undefined on the open gaps (-1,v1) and (v2,1); got z={z}")
-
-
-def geometry_v2_limit_checks(gap: GapPair) -> dict[str, float]:
-    """Residuals of the v2 -> 1 asymptotics of x1, x2 and tau.
-
-    x1 -> (v1-1)/2 and x2 -> (1+v2)/2 with O((1-v2)^2) error, and
-
-        tau ~ (i/pi) [5 log 2 + log(1/(1-v2)) + log((1-v1)/(1+v1))]
-
-    up to a relative O(sqrt(1-v2)) correction.
-    """
-    geom = derive_geometry(gap)
-    v1, v2 = gap.v1, gap.v2
-    tau_pred = (5.0 * math.log(2.0) + math.log(1.0 / (1.0 - v2))
-                + math.log((1.0 - v1) / (1.0 + v1))) / math.pi
-    return {
-        "x1_abs_residual": abs(geom.x1 - (v1 - 1.0) / 2.0),
-        "x2_abs_residual": abs(geom.x2 - (1.0 + v2) / 2.0),
-        "tau_rel_residual": abs(geom.tau.imag - tau_pred) / abs(tau_pred),
-    }

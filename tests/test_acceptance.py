@@ -45,14 +45,13 @@ def test_criterion_01_one_gap_expansion():
 def test_criterion_02_two_gap_expansion():
     t0 = time.perf_counter()
     gap = GapPair(-0.5, 0.3)
-    geom = derive_geometry(gap)
     diffs, excluded = [], []
     for s in (4.0, 6.0, 8.0):
         res = fredholm_logdet(s, [(-1.0, gap.v1), (gap.v2, 1.0)])
         if res.unreliable:
             excluded.append(s)
             continue
-        diffs.append(abs(expansion_two_gap(s, gap, geom).total - res.log_det))
+        diffs.append(abs(expansion_two_gap(s, gap).total - res.log_det))
     elapsed = time.perf_counter() - t0
     ok = (len(diffs) >= 2 and all(d <= 0.15 for d in diffs)
           and all(a > b for a, b in zip(diffs, diffs[1:])) and elapsed < 60.0)

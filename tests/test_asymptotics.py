@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingap import (AmbiguousRegimeError, DomainError, GapPair, Regime,
-                     WIDOM_DYSON_C0, barnes_g_int, complete_elliptic,
-                     derive_geometry, expansion_merging,
-                     expansion_merging_limit, expansion_one_gap,
-                     expansion_two_gap, legendre_kappa, nearest_frac,
-                     select_regime, theta_eval)
+                     WIDOM_DYSON_C0, barnes_g_int, derive_geometry, expand,
+                     expansion_merging, expansion_merging_limit,
+                     expansion_one_gap, expansion_two_gap, legendre_kappa,
+                     nearest_frac, select_regime, theta_eval)
+from twingap.identities import _g_primitive
+
+from reference import complete_elliptic
 
 GRID = [GapPair(-0.8, -0.1), GapPair(-0.5, 0.3), GapPair(-0.2, 0.6),
         GapPair(-0.6, 0.6)]
@@ -34,10 +36,12 @@ def test_one_gap_values():
 @pytest.mark.parametrize("gap", GRID)
 @pytest.mark.parametrize("s", [3.0, 7.5])
 def test_two_gap_forms_agree(gap, s):
-    geom = derive_geometry(gap)
-    a = expansion_two_gap(s, gap, geom, form="ratio")
-    b = expansion_two_gap(s, gap, geom, form="theorem")
-    assert abs(a.total - b.total) < 1e-10
+    # the bare-theta3 form: the primitive G of the differential identity
+    # with the s-only terms and the constant added back
+    a = expansion_two_gap(s, gap)
+    b = (_g_primitive(s, gap.v1, gap.v2) - s * s / 2 - 0.5 * math.log(s)
+         + 0.5 * math.log(math.pi) + 2 * WIDOM_DYSON_C0)
+    assert abs(a.total - b) < 1e-10
     assert a.total == a.leading_s2 + a.log_s_term + a.theta_term + a.constant_term
 
 
@@ -53,8 +57,8 @@ def test_theta_term_periodicity_in_s():
     geom = derive_geometry(gap)
     period = 1.0 / geom.Omega
     for s in (4.0, 6.3):
-        a = expansion_two_gap(s, gap, geom)
-        b = expansion_two_gap(s + period, gap, geom)
+        a = expansion_two_gap(s, gap)
+        b = expansion_two_gap(s + period, gap)
         assert abs(a.theta_term - b.theta_term) < 1e-10
 
 
@@ -76,7 +80,7 @@ def test_symmetric_closed_form(v):
               + math.log(th)
               - 0.25 * math.log((Kp - Ep) * (Ep - v * v * Kp))
               + 2 * WIDOM_DYSON_C0)
-    assert abs(expansion_two_gap(s, gap, geom).total - closed) < 1e-9
+    assert abs(expansion_two_gap(s, gap).total - closed) < 1e-9
 
 
 def test_legendre_kappa_values():
@@ -168,3 +172,23 @@ def test_select_regime_ambiguity():
     # threshold, which is contradictory
     with pytest.raises(AmbiguousRegimeError):
         select_regime(0.5, GapPair(0.75, 0.88))
+
+
+def test_expand_dispatch():
+    gap = GapPair(-0.5, 0.3)
+    assert expand(100.0, gap) == expansion_two_gap(100.0, gap)
+    # at s=4 the edge scale (1+v1)s = 2 is small: the same closed form,
+    # tagged Separating with the error order of the extension theorem
+    sep = expand(4.0, gap)
+    fixed = expansion_two_gap(4.0, gap)
+    assert sep.regime is Regime.SEPARATING
+    assert sep.total == fixed.total
+    assert sep.error_order != fixed.error_order
+    assert expand(4.0, gap, "FixedTwoGap") == fixed
+    narrow = GapPair(-1e-8, 1e-8)
+    assert expand(100.0, narrow) == expansion_merging(100.0, narrow)
+    assert (expand(100.0, narrow, Regime.MERGING_LIMIT)
+            == expansion_merging_limit(100.0, narrow))
+    assert expand(2.0, gap, "OneGap") == expansion_one_gap(2.0)
+    with pytest.raises(DomainError):
+        expand(4.0, gap, "Separated")

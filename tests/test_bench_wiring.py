@@ -74,3 +74,38 @@ def test_identity_op_makes_every_expected_call():
     seen = {**tr.calls, **{k: v for k, v in tr.counts.items() if v}}
     assert [name for name in bench_spec.EXPECTED[wl] if not seen.get(name)] == []
     assert tr.calls["identities.leggauss"] == 2
+
+
+# oracle_sweep at s <= 16 (s = 24..48 take up to a second each), and
+# asymp_sweep on regular and narrow pairs with nu >= 1e-3, whose moments
+# converge before the 6400-node budget: the warm-up's 6400-node rule
+# alone takes about 18 s on a 2-core x86-64 VM.  Both subsets still reach
+# every EXPECTED call, expansion_merging included (narrow pairs at small s).
+SUBSETS = {
+    "oracle_sweep": lambda item: item["s"] <= 16.0,
+    "asymp_sweep": lambda item: (item["kind"] != "edge"
+                                 and item["v2"] - item["v1"] >= 2e-3),
+}
+
+
+@pytest.mark.parametrize("wl", sorted(SUBSETS))
+def test_traced_subset_makes_every_expected_call(wl):
+    # warm-up, reset, then timed operations, as perfbench/worker.py runs a
+    # traced workload, on the inputs of one round that SUBSETS keeps
+    import twingap
+    bench_spec, workloads = _load("spec"), _load("workloads")
+    keep, op = SUBSETS[wl], workloads.OPS[wl]
+    count = workloads.ROUND[wl] if wl == "oracle_sweep" else 40
+    tr = tracer.Tracer()
+    tr.install(twingap)
+    try:
+        for item in filter(keep, workloads.warmup(wl, seed=0)):
+            op(twingap, item)
+        tr.reset()
+        for item in filter(keep, workloads.stream(wl, 0, [], count)):
+            tr.run_op(op, twingap, item)
+    finally:
+        tr.uninstall()
+    seen = {**tr.calls, **{k: v for k, v in tr.counts.items() if v}}
+    assert [name for name in bench_spec.EXPECTED[wl] if not seen.get(name)] == []
+    assert tr.counts["elliptic.budget_calls"] == 0

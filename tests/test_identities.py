@@ -12,6 +12,8 @@ from twingap.identities import (DEFAULT_GRID, _composite_gauss_01,
                                 oscillation_functional, run_suite)
 from twingap.theta import theta_eval
 
+from reference import g1hat_closed_form
+
 GRID = list(DEFAULT_GRID)
 OMEGAS = [0.0, 0.37, 0.5]
 
@@ -83,7 +85,7 @@ def test_g1hat_shortcut_matches_series():
     for gap in (GapPair(-0.5, 0.3), GapPair(-0.8, -0.1)):
         geom = derive_geometry(gap)
         a = g1hat(gap, geom)
-        b = g1hat(gap, geom, theta_pp_shortcut=True)
+        b = g1hat_closed_form(gap, geom)
         assert abs(a - b) < 1e-9
 
 

@@ -28,6 +28,15 @@ def test_one_gap_against_expansion():
     assert res.error_estimate < 1e-9
 
 
+def test_unconverged_value_is_flagged():
+    # at s=40 the doubling reaches max_nodes (800) before two passes agree
+    # to 1e-10, well above the conditioning floor
+    res = fredholm_logdet(40.0, TWO_GAPS)
+    assert res.smallest_one_minus_lambda > 1e-12
+    assert res.error_estimate > 1e-10
+    assert res.unreliable
+
+
 def test_overlapping_intervals_rejected():
     with pytest.raises(DomainError):
         fredholm_logdet(2.0, [(-1.0, 0.2), (0.1, 1.0)])

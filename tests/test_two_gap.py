@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twingap.two_gap
-from twingap import (DomainError, GapPair, Regime, abel_map, complete_elliptic,
-                     derive_geometry, elliptic_data, expansion_two_gap,
-                     geometry_v2_limit_checks, q_polynomial, select_regime,
+from twingap import (DomainError, GapPair, Regime, abel_map, derive_geometry,
+                     elliptic_data, expansion_two_gap, select_regime,
                      theta_eval)
 from twingap.elliptic import (integrate_both_sqrt, integrate_left_sqrt,
                               integrate_right_sqrt, _leggauss, _refine)
+
+from reference import complete_elliptic, geometry_v2_limit_checks
 
 GRID = [GapPair(-0.8, -0.1), GapPair(-0.5, 0.3), GapPair(-0.2, 0.6),
         GapPair(-0.6, 0.6)]
@@ -81,14 +82,14 @@ def test_cycle_integrals_of_psi_vanish(gap):
 
 
 def test_q_polynomial():
+    # q_at holds |q(y)| at y = -1, v1, v2, 1; q(v2) itself is negative
     gap = GapPair(-0.5, 0.3)
     geom = derive_geometry(gap)
-    assert q_polynomial(geom.x1, geom) == 0.0
-    assert q_polynomial(gap.v2, geom) == pytest.approx(GOLDEN_Q_AT_V2, abs=1e-10)
+    assert -geom.q_at[2] == pytest.approx(GOLDEN_Q_AT_V2, abs=1e-10)
     # symmetric case: |q(1)| = 1 - I2/I0
     sym = derive_geometry(GapPair(-0.4, 0.4))
     e = sym.elliptic
-    assert abs(q_polynomial(1.0, sym) - (1 - e.I2 / e.I0)) < 1e-11
+    assert abs(sym.q_at[3] - (1 - e.I2 / e.I0)) < 1e-11
 
 
 def test_abel_map_special_points():
