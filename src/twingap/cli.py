@@ -85,7 +85,7 @@ def cmd_asymp(args) -> int:
 def cmd_compare(args) -> int:
     from .asymptotics import expansion_one_gap, expansion_two_gap
     from .errors import TwinGapError
-    from .oracle import fredholm_logdet
+    from .oracle import _START_NODES, fredholm_logdet
 
     try:
         svals = [float(tok) for tok in args.s_values.split(",") if tok.strip()]
@@ -97,6 +97,8 @@ def cmd_compare(args) -> int:
         return _usage_error("s values must be positive")
     if not all(math.isfinite(s) for s in svals):
         return _usage_error("s values must be finite")
+    if args.max_nodes < _START_NODES:
+        return _usage_error(f"--max-nodes must be at least {_START_NODES}")
     try:
         if args.onegap:
             intervals = [(-1.0, 1.0)]

@@ -122,10 +122,14 @@ def fredholm_logdet(s: float, intervals: Sequence[tuple[float, float]],
     agree to 1e-10, the conditioning floor is hit, or max_nodes is
     reached.  The result is flagged unreliable at the floor and when the
     last two values did not agree to 1e-10, including when max_nodes
-    allows only one pass.  An empty interval list gives log det(I) = 0.
+    allows only one pass.  A max_nodes below the 50-node first pass is a
+    DomainError.  An empty interval list gives log det(I) = 0.
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"s must be positive, got {s}")
+    if max_nodes < _START_NODES:
+        raise DomainError(
+            f"max_nodes must be at least {_START_NODES}, got {max_nodes}")
     intervals = list(intervals)
     if not intervals:
         return OracleResult(log_det=0.0, nodes_per_interval=0,

@@ -78,9 +78,9 @@ def test_identity_op_makes_every_expected_call():
 
 # oracle_sweep at s <= 16 (s = 24..48 take up to a second each), and
 # asymp_sweep on regular and narrow pairs with nu >= 1e-3, whose moments
-# converge before the 6400-node budget: the warm-up's 6400-node rule
-# alone takes about 18 s on a 2-core x86-64 VM.  Both subsets still reach
-# every EXPECTED call, expansion_merging included (narrow pairs at small s).
+# converge before the 6400-node budget (the full asymp mix, budget calls
+# included, is the next test).  Both subsets still reach every EXPECTED
+# call, expansion_merging included (narrow pairs at small s).
 SUBSETS = {
     "oracle_sweep": lambda item: item["s"] <= 16.0,
     "asymp_sweep": lambda item: (item["kind"] != "edge"
@@ -109,3 +109,37 @@ def test_traced_subset_makes_every_expected_call(wl):
     seen = {**tr.calls, **{k: v for k, v in tr.counts.items() if v}}
     assert [name for name in bench_spec.EXPECTED[wl] if not seen.get(name)] == []
     assert tr.counts["elliptic.budget_calls"] == 0
+
+
+def test_traced_asymp_mix_builds_a_numpy_rule_in_warm_up():
+    # the whole asymp_sweep warm-up, edge and narrow pairs included, then
+    # 40 stream operations, as perfbench/worker.py runs a traced workload
+    # in a fresh process: so the Gauss rule and geometry caches start empty
+    import twingap
+    from twingap.elliptic import _half_rule, _leggauss, _sin2_rule
+    from twingap.two_gap import derive_geometry
+    bench_spec, workloads = _load("spec"), _load("workloads")
+    wl = "asymp_sweep"
+    for cached in (_leggauss, _sin2_rule, _half_rule, derive_geometry):
+        cached.cache_clear()
+    tr = tracer.Tracer()
+    tr.install(twingap)
+    try:
+        for item in workloads.warmup(wl, seed=0):
+            try:
+                workloads.asymp_op(twingap, item)
+            except Exception:  # worker.py: failures show when timed
+                pass
+        # perfbench/worker.py reports a traced asymp run without this span
+        # as incorrect; rules above 800 nodes do not come from numpy
+        warm_up_leggauss = tr.self_s.get("elliptic.leggauss", 0.0)
+        tr.reset()
+        for item in workloads.stream(wl, 0, [], 40):
+            tr.run_op(workloads.asymp_op, twingap, item)
+    finally:
+        tr.uninstall()
+    seen = {**tr.calls, **{k: v for k, v in tr.counts.items() if v}}
+    assert [name for name in bench_spec.EXPECTED[wl] if not seen.get(name)] == []
+    assert warm_up_leggauss > 0.0
+    # the 6400-node rule really runs
+    assert tr.counts["elliptic.budget_calls"] > 0

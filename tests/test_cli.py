@@ -77,6 +77,23 @@ def test_compare_bad_s_value_is_usage_error(bad, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", ["0", "-3", "49"])
+def test_compare_max_nodes_below_first_pass_is_usage_error(bad, capsys,
+                                                           monkeypatch):
+    # refused before any oracle call, like a bad --s-values
+    import twingap.oracle
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(twingap.oracle, "fredholm_logdet", no_oracle)
+    code, out, err = run_cli(["compare", "--s-values", "4", "--v1", "-0.5",
+                              "--v2", "0.3", "--max-nodes", bad], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-nodes")
+
+
 def test_compare_single_pass_is_flagged(capsys):
     # --max-nodes 50 allows one Nystrom pass: no two values can agree
     code, out, _ = run_cli(["compare", "--s-values", "4", "--v1", "-0.5",

@@ -1,10 +1,13 @@
+import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingap import (DomainError, GapPair, IllConditionedGeometryError,
-                     elliptic_data)
+                     elliptic_data, tail_integral)
+from twingap.elliptic import _leggauss
 
 from reference import complete_elliptic, elliptic_v2_derivatives
 
@@ -128,3 +131,57 @@ def test_gap_pair_validation():
             GapPair(*bad)
     with pytest.raises(DomainError):
         GapPair(float("nan"), 0.5)
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_dense_gauss_rule_is_numpys(n):
+    # up to 800 nodes every moment keeps the bits of numpy's rule
+    x, w = _leggauss(n)
+    nx, nw = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, nx) and np.array_equal(w, nw)
+
+
+@pytest.mark.parametrize("n", [1600, 6400])
+def test_large_gauss_rule_integrates_even_powers(n):
+    x, w = _leggauss(n)
+    assert len(x) == n and np.array_equal(x, -x[::-1])
+    assert np.all(np.diff(x) > 0)
+    assert abs(w.sum() - 2.0) < 1e-15
+    for k in range(11):
+        assert abs(np.sum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) < 1e-12, k
+
+
+EDGE_TAIL_GAP = GapPair(-0.99999, 0.1)
+
+
+def _carlson_tail(gap):
+    # int_{-inf}^{-1} dx / sqrt(p) = 2 R_F((1+v1)(1+v2), 2(1+v2), 2(1+v1))
+    # (Carlson, Math. Comp. 49 (1987)), double elliprf good to the last bit
+    from scipy.special import elliprf
+    a, b = 1.0 + gap.v1, 1.0 + gap.v2
+    return 2.0 * float(elliprf(a * b, 2.0 * b, 2.0 * a))
+
+
+# near -1 the node doubling runs to the 6400-node budget
+@pytest.mark.parametrize("gap, tol", [(EDGE_TAIL_GAP, 1e-11),
+                                      (GapPair(-0.5, 0.3), 1e-13),
+                                      (GapPair(-0.8, 0.6), 1e-13)])
+def test_tail_integral_against_carlson(gap, tol):
+    assert abs(tail_integral(gap) - _carlson_tail(gap)) < tol
+
+
+def test_unconverged_quadrature_is_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="twingap.elliptic"):
+        tail_integral(EDGE_TAIL_GAP)
+    records = [r for r in caplog.records if r.name == "twingap.elliptic"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    msg = records[0].getMessage()
+    assert "6400 nodes" in msg and "|delta|" in msg and "tol = 1e-13" in msg
+
+
+def test_converged_quadrature_logs_nothing(caplog):
+    with caplog.at_level(logging.DEBUG, logger="twingap.elliptic"):
+        tail_integral(GapPair(-0.5, 0.3))
+        elliptic_data(GapPair(-0.5, 0.3))
+    assert [r for r in caplog.records if r.name == "twingap.elliptic"] == []

@@ -37,6 +37,12 @@ def test_unconverged_value_is_flagged():
     assert res.unreliable
 
 
+@pytest.mark.parametrize("max_nodes", [0, -3, 49])
+def test_node_budget_below_first_pass_rejected(max_nodes):
+    with pytest.raises(DomainError, match="max_nodes"):
+        fredholm_logdet(4.0, TWO_GAPS, max_nodes=max_nodes)
+
+
 def test_overlapping_intervals_rejected():
     with pytest.raises(DomainError):
         fredholm_logdet(2.0, [(-1.0, 0.2), (0.1, 1.0)])

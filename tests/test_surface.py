@@ -1,5 +1,6 @@
 """The public surface: every name a module exports resolves, and
-`import twingap` loads no scipy (only toeplitz_logdet imports it)."""
+`import twingap` loads no scipy (toeplitz_logdet and the elliptic Gauss
+rules above 800 nodes import it when called)."""
 
 import importlib
 import os
