@@ -1,4 +1,4 @@
-"""Two-interval sine-kernel determinant asymptotics with numerical oracles."""
+"""Two-interval sine-kernel determinant asymptotics with a numerical oracle."""
 
 import os as _os
 
@@ -22,10 +22,8 @@ from .errors import (AmbiguousRegimeError, DomainError,
 from .identities import (ResidualReport, derivative_identity_residuals, g1hat,
                          period_relation_residual, run_suite,
                          theta_identity_residual, theta_integral_residuals)
-from .oracle import (OracleResult, fredholm_logdet, separation_factorization_gap,
-                     toeplitz_logdet)
-from .theta import (ThetaContext, theta_eval, theta_quasi_period_residual,
-                    theta3_modular_residual)
+from .oracle import OracleResult, fredholm_logdet
+from .theta import ThetaContext, theta_eval
 from .two_gap import DerivedGeometry, abel_map, derive_geometry
 
 __version__ = "0.1.0"
@@ -39,8 +37,6 @@ __all__ = [
     "elliptic_data", "expand", "expansion_merging", "expansion_merging_limit",
     "expansion_one_gap", "expansion_two_gap", "fredholm_logdet", "g1hat",
     "legendre_kappa", "nearest_frac", "period_relation_residual", "run_suite",
-    "select_regime", "separation_factorization_gap", "tail_integral",
-    "theta3_modular_residual", "theta_eval", "theta_identity_residual",
-    "theta_integral_residuals", "theta_quasi_period_residual",
-    "toeplitz_logdet",
+    "select_regime", "tail_integral", "theta_eval", "theta_identity_residual",
+    "theta_integral_residuals",
 ]

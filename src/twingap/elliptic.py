@@ -112,25 +112,25 @@ def _leggauss(n: int):
     return roots_legendre(n)
 
 
-def _refine(value_at: Callable[[int], float], start: int = _DEFAULT_NODES,
-            tol: float = _QUAD_TOL, nmax: int = _MAX_NODES) -> float:
-    """Double the node count until two successive values agree to tol.
+def _refine(value_at: Callable[[int], float]) -> float:
+    """Double the node count from _DEFAULT_NODES until two successive
+    values agree to _QUAD_TOL.
 
-    At the nmax budget the last value is returned unconverged, and a DEBUG
-    record on the ``twingap.elliptic`` logger says so.
+    At the _MAX_NODES budget the last value is returned unconverged, and a
+    DEBUG record on the ``twingap.elliptic`` logger says so.
     """
-    n = start
+    n = _DEFAULT_NODES
     prev = value_at(n)
     delta = math.inf
-    while n < nmax:
+    while n < _MAX_NODES:
         n *= 2
         cur = value_at(n)
         delta = abs(cur - prev)
-        if delta <= tol * max(1.0, abs(cur)):
+        if delta <= _QUAD_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     _log.debug("quadrature not converged at %d nodes: |delta| = %.3g, tol = %.3g",
-               n, delta, tol)
+               n, delta, _QUAD_TOL)
     return prev
 
 
@@ -178,6 +178,15 @@ def integrate_right_sqrt(f, a: float, b: float, n: int) -> float:
     return 2.0 * math.sqrt(b - a) * float(np.sum(wh * f(x)))
 
 
+def _check_endpoints(gap: GapPair) -> None:
+    """IllConditionedGeometryError when two of -1, v1, v2, 1 are closer
+    than MIN_ENDPOINT_GAP."""
+    if min(gap.v1 + 1.0, gap.v2 - gap.v1, 1.0 - gap.v2) < MIN_ENDPOINT_GAP:
+        raise IllConditionedGeometryError(
+            f"endpoints too close for reliable quadrature: {gap}"
+        )
+
+
 def elliptic_data(gap: GapPair) -> EllipticData:
     """The six moment integrals I_j, J_j for a valid gap pair.
 
@@ -185,11 +194,8 @@ def elliptic_data(gap: GapPair) -> EllipticData:
     two factors are absorbed by the sin^2 substitution; likewise on
     (v1, v2) with the roles swapped.  Absolute accuracy ~1e-13.
     """
+    _check_endpoints(gap)
     v1, v2 = gap.v1, gap.v2
-    if min(v1 + 1.0, v2 - v1, 1.0 - v2) < MIN_ENDPOINT_GAP:
-        raise IllConditionedGeometryError(
-            f"endpoints too close for reliable quadrature: {gap}"
-        )
 
     def I_j(j: int) -> float:
         f = lambda x: x ** j / np.sqrt((1.0 + x) * (x - v1))
@@ -211,7 +217,10 @@ def tail_integral(gap: GapPair) -> float:
         int_0^1 dt / sqrt((1 - t^2)(1 + v1 t)(1 + v2 t)),
 
     and t = sin^2(theta) then removes the t = 1 endpoint singularity.
+    Endpoints closer than MIN_ENDPOINT_GAP raise
+    IllConditionedGeometryError, as in elliptic_data.
     """
+    _check_endpoints(gap)
     v1, v2 = gap.v1, gap.v2
 
     def f(t):

@@ -286,15 +286,20 @@ def _g_primitive_rate(s: float, geom: DerivedGeometry) -> float:
             - 0.125 * (dlog_qm1 + dlog_qv1 + dlog_qv2 + dlog_qp1))
 
 
-def derivative_identity_residuals(gap: GapPair, omega: float,
-                                  s: float = 3.7) -> list[ResidualReport]:
+# the s at which the v2-derivative of the primitive G is checked
+_GFUN_S = 3.7
+
+
+def derivative_identity_residuals(gap: GapPair,
+                                  omega: float) -> list[ResidualReport]:
     """Finite-difference checks of the closed-form v2-derivatives.
 
     Returns reports for d|tau|/dv2 vs pi u0^2, dOmega/dv2 vs its rational
     form, the band-edge coefficient zeta0^2/4 vs the derivative of
     -x1 x2 - (v2-v1)^2/8, the oscillation functional T1 vs
     2 theta3'/theta3 (pointwise in omega), and the primitive rate
-    _g_primitive_rate vs a finite difference of _g_primitive.
+    _g_primitive_rate vs a finite difference of _g_primitive, both at
+    s = _GFUN_S.
     """
     geom = derive_geometry(gap)
     v1, v2 = gap.v1, gap.v2
@@ -334,10 +339,10 @@ def derivative_identity_residuals(gap: GapPair, omega: float,
     out.append(_report("t1_functional", abs(t1 - rhs_t1) / max(1.0, abs(rhs_t1)),
                        inputs, "t1"))
 
-    fd = _fd_richardson(lambda x: _g_primitive(s, v1, x), v2, h=1e-4)
-    rhs = _g_primitive_rate(s, geom)
+    fd = _fd_richardson(lambda x: _g_primitive(_GFUN_S, v1, x), v2, h=1e-4)
+    rhs = _g_primitive_rate(_GFUN_S, geom)
     out.append(_report("gfun_dv2", abs(fd - rhs) / max(1.0, abs(rhs)),
-                       {**inputs, "s": s}, "gfun_dv2"))
+                       {**inputs, "s": _GFUN_S}, "gfun_dv2"))
     return out
 
 

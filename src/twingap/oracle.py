@@ -1,18 +1,13 @@
 """Independent numerical evaluation of log det(I - K_s).
 
-Two routes, sharing no code with the asymptotic expansions:
-
-* Nystrom: per-interval Gauss-Legendre nodes x_i with weights w_i turn
-  the integral operator into the symmetric matrix
-  M_ij = sqrt(w_i) K_s(x_i, x_j) sqrt(w_j); then
-  log det(I - K_s) ~ sum log(1 - lambda_i) over the eigenvalues of M.
-  The kernel diagonal is K_s(x, x) = s/pi (the removable singularity of
-  sin(s(x-y))/(pi(x-y))).
-
-* Toeplitz: the determinant is the n -> infinity limit of the n x n
-  Toeplitz determinant whose symbol is the indicator of two circular
-  arcs with endpoints at angles 2 v s / n; the Fourier coefficients of
-  the indicator are known in closed form.
+One route, sharing no code with the asymptotic expansions: the Nystrom
+method.  Per-interval Gauss-Legendre nodes x_i with weights w_i turn the
+integral operator into the symmetric matrix
+M_ij = sqrt(w_i) K_s(x_i, x_j) sqrt(w_j); then
+log det(I - K_s) ~ sum log(1 - lambda_i) over the eigenvalues of M.
+The kernel diagonal is K_s(x, x) = s/pi (the removable singularity of
+sin(s(x-y))/(pi(x-y))).  For an analytic kernel the error falls
+exponentially in the node count (Bornemann, Math. Comp. 79 (2010)).
 
 Because 0 <= K_s <= I, every Nystrom eigenvalue sits in [0, 1); as the
 largest one approaches 1 the log-determinant loses digits, so results
@@ -33,9 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["OracleResult", "fredholm_logdet", "toeplitz_logdet",
-           "separation_factorization_gap", "separation_geometry",
-           "nystrom_eigenvalues"]
+__all__ = ["OracleResult", "fredholm_logdet", "nystrom_eigenvalues"]
 
 CONDITIONING_FLOOR = 1e-12
 # Nystrom node doubling starts here (nodes per interval) and stops once two
@@ -49,9 +42,8 @@ class OracleResult:
     """A numerically computed log-determinant with its diagnostics.
 
     error_estimate is the difference between the last two discretization
-    levels.  smallest_one_minus_lambda is min(1 - lambda_i) for the
-    Nystrom route; the Toeplitz route stores its relative smallest LU
-    pivot there (same role: distance from numerical singularity).
+    levels; smallest_one_minus_lambda is min(1 - lambda_i) at the last
+    one (the distance from numerical singularity).
     """
 
     log_det: float
@@ -120,7 +112,8 @@ def fredholm_logdet(s: float, intervals: Sequence[tuple[float, float]],
 
     Node counts double from 50 per interval until two successive values
     agree to 1e-10, the conditioning floor is hit, or max_nodes is
-    reached.  The result is flagged unreliable at the floor and when the
+    reached; the last pass is cut to max_nodes when doubling would pass
+    it.  The result is flagged unreliable at the floor and when the
     last two values did not agree to 1e-10, including when max_nodes
     allows only one pass.  A max_nodes below the 50-node first pass is a
     DomainError.  An empty interval list gives log det(I) = 0.
@@ -139,7 +132,7 @@ def fredholm_logdet(s: float, intervals: Sequence[tuple[float, float]],
     value, floor = _nystrom_pass(s, intervals, m)
     err = math.inf
     while m < max_nodes:
-        m *= 2
+        m = min(2 * m, max_nodes)
         new, floor = _nystrom_pass(s, intervals, m)
         err = abs(new - value)
         value = new
@@ -153,93 +146,3 @@ def fredholm_logdet(s: float, intervals: Sequence[tuple[float, float]],
         unreliable=floor < CONDITIONING_FLOOR or not err <= _TOL,
     )
 
-
-def _arc_fourier(arcs: Sequence[tuple[float, float]], n: int) -> np.ndarray:
-    """Fourier coefficients f_j, |j| <= n-1, of the indicator of arcs.
-
-    For the arc theta in (a, b): f_0 = (b-a)/(2 pi) and
-    f_j = (exp(-i j b) - exp(-i j a)) / (-2 pi i j) otherwise.
-    """
-    j = np.arange(-(n - 1), n)
-    f = np.zeros(2 * n - 1, dtype=complex)
-    nz = j != 0
-    for a, b in arcs:
-        f[nz] += (np.exp(-1j * j[nz] * b) - np.exp(-1j * j[nz] * a)) \
-            / (-2j * math.pi * j[nz])
-        f[~nz] += (b - a) / (2.0 * math.pi)
-    return f
-
-
-def toeplitz_logdet(s: float, v1: float, v2: float, n: int) -> OracleResult:
-    """log of the n x n Toeplitz determinant converging to the gap
-    probability on (-1, v1) u (v2, 1).
-
-    The symbol is the indicator of the two arcs (2 v1 s/n, 2 v2 s/n) and
-    (2 s/n, 2 pi - 2 s/n); a degenerate band v1 = v2 leaves a single
-    arc (the one-interval determinant).  Requires n >= 8 s so the arc
-    endpoints stay well inside the circle parametrization.  Determinant
-    via LU with partial pivoting; the relative smallest pivot is
-    reported as the conditioning metric.
-    """
-    # only this function uses scipy, whose import takes longer than the
-    # rest of `import twingap`
-    import scipy.linalg
-
-    if n < 8 * s:
-        raise DomainError(f"need n >= 8*s, got n={n}, s={s}")
-    if not (-1.0 < v1 <= v2 < 1.0):
-        raise DomainError(f"need -1 < v1 <= v2 < 1, got ({v1}, {v2})")
-    phi0 = 2.0 * s / n
-    p1, p2 = 2.0 * v1 * s / n, 2.0 * v2 * s / n
-    arcs = [(phi0, 2.0 * math.pi - phi0)]
-    if v2 > v1:
-        arcs.append((p1, p2))
-    f = _arc_fourier(arcs, n)
-
-    def run(size: int) -> tuple[float, float]:
-        center = n - 1
-        col = f[center:center + size]
-        row = f[center::-1][:size]
-        mat = scipy.linalg.toeplitz(col, row)
-        lu, _ = scipy.linalg.lu_factor(mat)
-        diag = np.abs(np.diag(lu))
-        if np.any(diag == 0.0):
-            return -math.inf, 0.0
-        return float(np.sum(np.log(diag))), float(diag.min() / diag.max())
-
-    value, pivot = run(n)
-    if not math.isfinite(value):
-        raise DomainError(f"Toeplitz matrix is singular at n={n}, s={s}")
-    half, _ = run(n // 2)
-    return OracleResult(
-        log_det=value,
-        nodes_per_interval=n,
-        smallest_one_minus_lambda=pivot,
-        error_estimate=abs(value - half),
-        unreliable=pivot < 1e-300,
-    )
-
-
-def separation_geometry(w: float) -> list[tuple[float, float]]:
-    """The standard separated pair (-w, -w+1) u (w-1, w), w > 2."""
-    if not w > 2.0:
-        raise DomainError(f"separation geometry needs w > 2, got {w}")
-    return [(-w, -w + 1.0), (w - 1.0, w)]
-
-
-def separation_factorization_gap(u: float, w: float,
-                                 max_nodes: int = 400) -> float:
-    """|det(I-K_u) on both intervals - product of single-interval dets|.
-
-    Measures how fast the determinant on (-w, -w+1) u (w-1, w)
-    factorizes as the separation w grows (the gap decays like 1/w for
-    fixed u).
-    """
-    if not (u > 2.0 and w > 2.0):
-        raise DomainError(f"need u, w > 2, got u={u}, w={w}")
-    pair = separation_geometry(w)
-    both = fredholm_logdet(u, pair, max_nodes=max_nodes)
-    left = fredholm_logdet(u, pair[:1], max_nodes=max_nodes)
-    right = fredholm_logdet(u, pair[1:], max_nodes=max_nodes)
-    return abs(math.exp(both.log_det)
-               - math.exp(left.log_det) * math.exp(right.log_det))

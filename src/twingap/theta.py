@@ -44,6 +44,8 @@ _TRUNC_REL = 1e-17
 # direct series beyond this nome converges too slowly; switch to the
 # modular transform (|q| = 0.5 at Im tau = log 2 / pi ~ 0.2206)
 _NOME_SWITCH = 0.5
+# term budget of every series sum; past it SeriesTruncationError
+_MAX_TERMS = 4000
 
 _BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
 
@@ -54,18 +56,17 @@ class ThetaContext:
 
     tau: complex
     nome: complex
-    max_terms: int = 4000
 
     def __post_init__(self):
         if not self.tau.imag > 0.0:
             raise DomainError(f"Im tau must be positive, got tau={self.tau}")
 
     @classmethod
-    def from_tau(cls, tau: complex, max_terms: int = 4000) -> "ThetaContext":
+    def from_tau(cls, tau: complex) -> "ThetaContext":
         tau = complex(tau)
         if not tau.imag > 0.0:
             raise DomainError(f"Im tau must be positive, got tau={tau}")
-        return cls(tau=tau, nome=cmath.exp(1j * math.pi * tau), max_terms=max_terms)
+        return cls(tau=tau, nome=cmath.exp(1j * math.pi * tau))
 
 
 def _exp(w):
@@ -110,9 +111,9 @@ def _series_direct(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex]:
         if size < _TRUNC_REL * max(running, 1e-300):
             return vals
         m += 1
-        if m > ctx.max_terms:
+        if m > _MAX_TERMS:
             raise SeriesTruncationError(
-                f"theta series did not converge within {ctx.max_terms} terms "
+                f"theta series did not converge within {_MAX_TERMS} terms "
                 f"(last term ~ {size:.3e})", bound=size)
 
 
@@ -139,9 +140,9 @@ def _series_direct_array(z0: np.ndarray, ctx: ThetaContext,
         if not live.any():
             return vals
         m += 1
-        if m > ctx.max_terms:
+        if m > _MAX_TERMS:
             raise SeriesTruncationError(
-                f"theta series did not converge within {ctx.max_terms} terms "
+                f"theta series did not converge within {_MAX_TERMS} terms "
                 f"(last term ~ {size.max():.3e})", bound=float(size.max()))
 
 
@@ -178,7 +179,7 @@ def _series_transform(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex
         if k > 0 and done_small:
             break
         k += 1
-        if k > ctx.max_terms:
+        if k > _MAX_TERMS:
             raise SeriesTruncationError(
                 "transformed theta series did not converge", bound=abs(vals[0]))
     return [pref * v for v in vals[: kmax + 1]]
@@ -214,16 +215,15 @@ def _series_transform_array(z0: np.ndarray, ctx: ThetaContext,
             if not live.any():
                 break
         k += 1
-        if k > ctx.max_terms:
+        if k > _MAX_TERMS:
             raise SeriesTruncationError(
                 "transformed theta series did not converge",
                 bound=float(np.abs(vals[0]).max()))
     return [pref * v for v in vals[: kmax + 1]]
 
 
-def _theta3_parts(z, ctx: ThetaContext, kmax: int,
-                  force_branch: str | None = None
-                  ) -> tuple[complex, complex, list[complex]]:
+def _theta3_parts(z, ctx: ThetaContext,
+                  kmax: int) -> tuple[complex, complex, list[complex]]:
     """(log_factor, rate, raw) with
     theta_3^{(k)}(z) = e^log_factor sum_j C(k,j) rate^{k-j} raw[j].
 
@@ -234,10 +234,6 @@ def _theta3_parts(z, ctx: ThetaContext, kmax: int,
     """
     z0, n = _reduce(z, ctx.tau)
     use_transform = abs(ctx.nome) > _NOME_SWITCH and abs(ctx.tau.real) < 1e-12
-    if force_branch == "direct":
-        use_transform = False
-    elif force_branch == "transform":
-        use_transform = True
     if isinstance(z0, np.ndarray):
         series = _series_transform_array if use_transform else _series_direct_array
         moved = n.any()
@@ -251,10 +247,9 @@ def _theta3_parts(z, ctx: ThetaContext, kmax: int,
     return logfac, -2j * math.pi * n, raw
 
 
-def _theta3_derivs(z, ctx: ThetaContext, kmax: int,
-                   force_branch: str | None = None) -> list[complex]:
+def _theta3_derivs(z, ctx: ThetaContext, kmax: int) -> list[complex]:
     """theta_3^{(k)}(z) for k = 0..kmax, with argument reduction."""
-    logfac, rate, raw = _theta3_parts(z, ctx, kmax, force_branch)
+    logfac, rate, raw = _theta3_parts(z, ctx, kmax)
     if isinstance(rate, complex) and rate == 0:
         return raw[: kmax + 1]
     fac = _exp(logfac)
@@ -311,31 +306,3 @@ def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
     return _shifted(z, ctx, order, shift=-tau / 2.0,
                     pref_rate=-1j * math.pi, pref_const=quarter)
 
-
-# quasi-period factors under z -> z + tau, as multiples of
-# exp(-2 pi i z - pi i tau); theta_1 and theta_4 pick up an extra sign.
-_QP_SIGN = {1: -1.0, 2: 1.0, 3: 1.0, 4: -1.0}
-
-
-def theta_quasi_period_residual(j: int, z: complex, ctx: ThetaContext) -> float:
-    """|theta_j(z + tau) - factor * theta_j(z)| / max(1, |theta_j(z)|)."""
-    z = complex(z)
-    base = theta_eval(j, z, ctx)
-    shifted = theta_eval(j, z + ctx.tau, ctx)
-    # exp(-2 pi i z) has exact period 1; dropping the integer part of
-    # Re z avoids rounding a large phase
-    zr = z - round(z.real)
-    factor = _QP_SIGN[j] * cmath.exp(-2j * math.pi * zr - 1j * math.pi * ctx.tau)
-    return abs(shifted - factor * base) / max(1.0, abs(base))
-
-
-def theta3_modular_residual(z: complex, ctx: ThetaContext) -> float:
-    """Disagreement between the defining series and the tau -> -1/tau form.
-
-    Both sides are summed independently (no regime switching), so this
-    measures the internal consistency of the two evaluation branches.
-    """
-    z = complex(z)
-    direct = _theta3_derivs(z, ctx, 0, force_branch="direct")[0]
-    transf = _theta3_derivs(z, ctx, 0, force_branch="transform")[0]
-    return abs(direct - transf)

@@ -15,8 +15,10 @@ from twingap import (GapPair, ThetaContext, WIDOM_DYSON_C0,
                      expansion_merging, expansion_merging_limit,
                      expansion_one_gap, expansion_two_gap, fredholm_logdet,
                      g1hat, period_relation_residual, theta_identity_residual,
-                     theta_integral_residuals, toeplitz_logdet)
+                     theta_integral_residuals)
 from twingap.oracle import nystrom_eigenvalues
+
+from reference import toeplitz_logdet
 
 IDENTITY_GRID = [GapPair(-0.8, -0.1), GapPair(-0.5, 0.3), GapPair(-0.2, 0.6),
                  GapPair(-0.6, 0.6)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twingap import (AmbiguousRegimeError, DomainError, GapPair, Regime,
-                     WIDOM_DYSON_C0, barnes_g_int, derive_geometry, expand,
+                     TwinGapError, WIDOM_DYSON_C0, barnes_g_int, derive_geometry, expand,
                      expansion_merging, expansion_merging_limit,
                      expansion_one_gap, expansion_two_gap, legendre_kappa,
                      nearest_frac, select_regime, theta_eval)
@@ -192,3 +192,29 @@ def test_expand_dispatch():
     assert expand(2.0, gap, "OneGap") == expansion_one_gap(2.0)
     with pytest.raises(DomainError):
         expand(4.0, gap, "Separated")
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+# the edges of the domain: narrow bands down to nu = 1e-7, gaps within
+# 1e-11 of -1 or 1, and anything in between
+_narrow = st.builds(lambda c, nu: (c - nu, c + nu),
+                    st.floats(-0.9, 0.9), _log_uniform(-7, -2))
+_left_edge = st.builds(lambda eps, v2: (-1.0 + eps, v2),
+                       _log_uniform(-11, -2), st.floats(-0.9, 0.9))
+_right_edge = st.builds(lambda v1, eps: (v1, 1.0 - eps),
+                        st.floats(-0.9, 0.9), _log_uniform(-11, -2))
+_regular = st.tuples(st.floats(-0.95, 0.9), st.floats(-0.9, 0.95)).filter(
+    lambda t: t[0] < t[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_narrow, _left_edge, _right_edge, _regular), _log_uniform(-2, 3))
+def test_expand_is_finite_or_refuses(pair, s):
+    try:
+        total = expand(s, GapPair(*pair)).total
+    except TwinGapError:
+        return
+    assert math.isfinite(total)

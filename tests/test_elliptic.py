@@ -185,3 +185,13 @@ def test_converged_quadrature_logs_nothing(caplog):
         tail_integral(GapPair(-0.5, 0.3))
         elliptic_data(GapPair(-0.5, 0.3))
     assert [r for r in caplog.records if r.name == "twingap.elliptic"] == []
+
+
+def test_tail_integral_refuses_where_moments_refuse():
+    # 1 + v1 = 1e-13: the quadrature would answer 2.9e-4 off the Carlson
+    # value; both entry points share the MIN_ENDPOINT_GAP check
+    gap = GapPair(-1.0 + 1e-13, 0.1)
+    with pytest.raises(IllConditionedGeometryError):
+        elliptic_data(gap)
+    with pytest.raises(IllConditionedGeometryError):
+        tail_integral(gap)

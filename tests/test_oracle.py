@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from twingap import (DomainError, OracleResult, expansion_one_gap,
-                     fredholm_logdet, separation_factorization_gap,
-                     toeplitz_logdet)
-from twingap.oracle import nystrom_eigenvalues, separation_geometry
+from twingap import DomainError, OracleResult, expansion_one_gap, fredholm_logdet
+from twingap.oracle import _nystrom_pass, nystrom_eigenvalues
+
+from reference import (separation_factorization_gap, separation_geometry,
+                       toeplitz_logdet)
 
 TWO_GAPS = [(-1.0, -0.5), (0.3, 1.0)]
 
@@ -143,3 +144,19 @@ def test_separation_geometry_validation():
         separation_geometry(1.5)
     with pytest.raises(DomainError):
         separation_factorization_gap(1.0, 10.0)
+
+
+@pytest.mark.parametrize("max_nodes", [70, 150, 800])
+def test_last_pass_stays_within_node_budget(max_nodes):
+    # at s=40 no two passes agree, so doubling runs into the budget; the
+    # last pass is cut to it (800, the default, is reached by doubling)
+    res = fredholm_logdet(40.0, TWO_GAPS, max_nodes=max_nodes)
+    prev = 50
+    while 2 * prev < max_nodes:
+        prev *= 2
+    last, floor = _nystrom_pass(40.0, TWO_GAPS, max_nodes)
+    before, _ = _nystrom_pass(40.0, TWO_GAPS, prev)
+    assert res.nodes_per_interval == max_nodes
+    assert (res.log_det, res.smallest_one_minus_lambda) == (last, floor)
+    assert res.error_estimate == abs(last - before)
+    assert res.unreliable

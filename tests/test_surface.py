@@ -1,6 +1,7 @@
-"""The public surface: every name a module exports resolves, and
-`import twingap` loads no scipy (toeplitz_logdet and the elliptic Gauss
-rules above 800 nodes import it when called)."""
+"""The public surface: the package exports exactly the names listed
+here, every name a module exports resolves, and `import twingap` loads
+no scipy (the elliptic Gauss rules above 800 nodes import it when
+called)."""
 
 import importlib
 import os
@@ -14,6 +15,24 @@ import pytest
 import twingap
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(twingap.__path__))
+
+# a new public name is a deliberate edit of this list
+PUBLIC_NAMES = [
+    "AmbiguousRegimeError", "DerivedGeometry", "DomainError", "EllipticData",
+    "ExpansionBreakdown", "GapPair", "IllConditionedGeometryError",
+    "OracleResult", "Regime", "ResidualReport", "SeriesTruncationError",
+    "ThetaContext", "TwinGapError", "WIDOM_DYSON_C0", "abel_map",
+    "barnes_g_int", "derivative_identity_residuals", "derive_geometry",
+    "elliptic_data", "expand", "expansion_merging", "expansion_merging_limit",
+    "expansion_one_gap", "expansion_two_gap", "fredholm_logdet", "g1hat",
+    "legendre_kappa", "nearest_frac", "period_relation_residual", "run_suite",
+    "select_regime", "tail_integral", "theta_eval", "theta_identity_residual",
+    "theta_integral_residuals",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(twingap.__all__) == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("name", ["twingap"] + [f"twingap.{m}" for m in MODULES])

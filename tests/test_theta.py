@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twingap import (DomainError, SeriesTruncationError, ThetaContext,
-                     theta3_modular_residual, theta_eval,
-                     theta_quasi_period_residual)
+from twingap import DomainError, SeriesTruncationError, ThetaContext, theta_eval
+from twingap import theta
 
-from reference import theta_constants
+from reference import (theta3_modular_residual, theta_constants,
+                       theta_quasi_period_residual)
 
 CTX = ThetaContext.from_tau(1.3983866398709366j)  # tau of the (-0.5, 0.3) gap
 
@@ -128,10 +128,11 @@ def test_real_axis_positivity():
             assert val.real > 0.0
 
 
-def test_context_validation_and_truncation():
+def test_context_validation_and_truncation(monkeypatch):
     with pytest.raises(DomainError):
         ThetaContext.from_tau(1.0 + 0j)
-    tiny = ThetaContext.from_tau(0.01j, max_terms=5)
+    monkeypatch.setattr(theta, "_MAX_TERMS", 5)
+    tiny = ThetaContext.from_tau(0.01j)
     with pytest.raises(SeriesTruncationError):
         theta3_modular_residual(0.3, tiny)  # direct branch cannot converge
 
