@@ -38,7 +38,7 @@ from .two_gap import derive_geometry
 __all__ = ["Regime", "ExpansionBreakdown", "WIDOM_DYSON_C0",
            "ZETA_PRIME_AT_MINUS_ONE", "expand", "expansion_one_gap",
            "expansion_two_gap", "expansion_merging", "expansion_merging_limit",
-           "merging_parameters", "legendre_kappa", "barnes_g_int",
+           "legendre_kappa", "barnes_g_int",
            "nearest_frac", "select_regime"]
 
 # zeta'(-1) = 1/12 - log(Glaisher A); frozen from a 50-digit derivation
@@ -163,19 +163,25 @@ def barnes_g_int(n: int) -> float:
     return sum(math.lgamma(i + 1) for i in range(1, n - 1))
 
 
-def merging_parameters(gap: GapPair) -> tuple[float, float, float, float]:
-    """(nu, alpha, beta, gamma) of the merging regime.
+def _merging_scales(s: float, gap: GapPair):
+    """(nu, gamma, |alpha beta|, L, omega0, <omega0>) of the merging regime.
 
     nu = (v2-v1)/2 is the half-width of the closing band; after centering
     the band the outer gap runs over (alpha, -nu) u (nu, beta) with
     alpha = -(1 + (v1+v2)/2) < 0 < beta = 1 - (v1+v2)/2, and
-    gamma = (1/beta + 1/|alpha|)/8 sets the logarithmic scale.
+    gamma = (1/beta + 1/|alpha|)/8 sets the logarithmic scale
+    L = log(1/(gamma nu)); omega0 = s sqrt|alpha beta| / L.  A valid gap
+    has nu < beta and nu < |alpha|, so gamma nu < 1/4 and L > log 4.
     """
+    nu = gap.nu
     m = gap.midpoint
     alpha = -(1.0 + m)
     beta = 1.0 - m
     gamma = (1.0 / beta + 1.0 / abs(alpha)) / 8.0
-    return gap.nu, alpha, beta, gamma
+    L = math.log(1.0 / (gamma * nu))
+    ab = abs(alpha * beta)
+    omega0 = s * math.sqrt(ab) / L
+    return nu, gamma, ab, L, omega0, nearest_frac(omega0)
 
 
 def expansion_merging(s: float, gap: GapPair) -> ExpansionBreakdown:
@@ -196,18 +202,10 @@ def expansion_merging(s: float, gap: GapPair) -> ExpansionBreakdown:
     constant.
     """
     _require_positive_s(s)
-    nu, alpha, beta, gamma = merging_parameters(gap)
-    L = math.log(1.0 / (gamma * nu))
-    if L <= 0.0:
-        raise DomainError("merging formula requires gamma*nu < 1")
-    root = math.sqrt(abs(alpha * beta))
-    omega0 = s * root / L
-    fr = nearest_frac(omega0)
+    nu, gamma, ab, _, omega0, fr = _merging_scales(s, gap)
+    root = math.sqrt(ab)
+    # omega0 - <omega0> is exact (Sterbenz), a whole number >= 0
     k = round(omega0 - fr)
-    if abs((omega0 - fr) - k) > 1e-9:
-        raise DomainError("internal error: omega0 - <omega0> not an integer")
-    if k < 0:
-        raise DomainError("internal error: negative band index")
     gn = gamma * nu
     barnes_block = ((2 * k * k - k) * math.log(2.0) - k * math.log(math.pi)
                     + 4.0 * barnes_g_int(k + 1) - barnes_g_int(2 * k + 1))
@@ -239,13 +237,7 @@ def expansion_merging_limit(s: float, gap: GapPair) -> ExpansionBreakdown:
     - (1/8) log|alpha beta| + 2 c0,   L = log(1/(gamma nu)).
     """
     _require_positive_s(s)
-    nu, alpha, beta, gamma = merging_parameters(gap)
-    L = math.log(1.0 / (gamma * nu))
-    if L <= 0.0:
-        raise DomainError("merging limit requires gamma*nu < 1")
-    ab = abs(alpha * beta)
-    omega0 = s * math.sqrt(ab) / L
-    fr = nearest_frac(omega0)
+    nu, gamma, ab, L, _, fr = _merging_scales(s, gap)
     warnings = []
     if 2.0 * nu <= s ** (-1.25):
         warnings.append(

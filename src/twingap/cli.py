@@ -129,6 +129,8 @@ def cmd_validate(args) -> int:
     from .errors import TwinGapError
     from .identities import SUITE_NAMES, run_suite
 
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        return _usage_error(f"--tol must be finite and positive, got {args.tol}")
     if args.suite not in SUITE_NAMES:
         return _usage_error(f"unknown suite {args.suite!r}; "
                             f"choose from {', '.join(SUITE_NAMES)}")
@@ -139,16 +141,15 @@ def cmd_validate(args) -> int:
 
     worst: dict[str, dict] = {}
     for rep in reports:
-        passed = rep.residual < (args.tol if args.tol is not None else rep.tolerance)
+        tol = rep.tolerance if args.tol is None else args.tol
         entry = worst.setdefault(rep.identity_id, {
-            "worst_residual": 0.0, "tolerance": (args.tol if args.tol is not None
-                                                 else rep.tolerance),
+            "worst_residual": 0.0, "tolerance": tol,
             "checks": 0, "failures": 0, "worst_inputs": {}})
         entry["checks"] += 1
         if rep.residual >= entry["worst_residual"]:
             entry["worst_residual"] = rep.residual
             entry["worst_inputs"] = rep.inputs
-        if not passed:
+        if not rep.residual < tol:
             entry["failures"] += 1
     ok = all(e["failures"] == 0 for e in worst.values())
     doc = {"schema": "twin-gap/1", "command": "validate", "suite": args.suite,
@@ -194,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.add_argument("--grid", default="coarse", choices=["coarse", "fine"])
     p.add_argument("--tol", type=float, default=None,
-                   help="override every per-identity tolerance")
+                   help="override every per-identity tolerance "
+                        "(finite and positive)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
     return parser

@@ -16,10 +16,6 @@ class IllConditionedGeometryError(TwinGapError):
 class SeriesTruncationError(TwinGapError):
     """A theta series failed to converge within the term budget."""
 
-    def __init__(self, message: str, bound: float):
-        super().__init__(message)
-        self.bound = bound
-
 
 class AmbiguousRegimeError(TwinGapError):
     """Asymptotic regime selection is contradictory for the given inputs."""

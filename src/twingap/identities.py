@@ -31,7 +31,7 @@ import numpy as np
 from .elliptic import GapPair, elliptic_data
 from .errors import DomainError
 from .theta import ThetaContext, theta_eval
-from .two_gap import DerivedGeometry, branch_point_u, derive_geometry
+from .two_gap import DerivedGeometry, abel_map, branch_point_u, derive_geometry
 
 __all__ = ["ResidualReport", "theta_identity_residual",
            "period_relation_residual", "g1hat",
@@ -97,21 +97,18 @@ def _theta_ratio_derivs(z: complex, ctx: ThetaContext) -> tuple[complex, ...]:
     return g0, g1, g2, g3
 
 
-def edge_expansion_coefficients(geom: DerivedGeometry) -> tuple[float, float, float]:
-    """(zeta1, gamma1, u1): subleading expansion coefficients at z = v2.
+def edge_expansion_coefficients(geom: DerivedGeometry) -> tuple[float, float]:
+    """(gamma1, u1): subleading expansion coefficients at z = v2.
 
-    zeta1 - u1 = (1/3) d/dz log q(z) at v2, and
     u1 = -(1/6) d/dv2 log((v2^2-1)(v2-v1)); gamma1 follows from the
     Taylor expansion of the quartic ratio defining gamma^4:
     4 gamma1 = 1/(v2-1) + 1/(v2-v1) - 1/(v2+1).
     """
     v1, v2 = geom.v1, geom.v2
-    logq_rate = (2.0 * v2 - (v1 + v2) / 2.0) / ((v2 - geom.x1) * (v2 - geom.x2))
     dlog = 2.0 * v2 / (v2 * v2 - 1.0) + 1.0 / (v2 - v1)
     u1 = -dlog / 6.0
-    zeta1 = logq_rate / 3.0 + u1
     gamma1 = 0.25 * (1.0 / (v2 - 1.0) + 1.0 / (v2 - v1) - 1.0 / (v2 + 1.0))
-    return zeta1, gamma1, u1
+    return gamma1, u1
 
 
 def theta_identity_residual(which: str, gap: GapPair, omega: float,
@@ -148,7 +145,7 @@ def theta_identity_residual(which: str, gap: GapPair, omega: float,
         res = abs(lhs - rhs) / abs(rhs)
     elif which == "c":
         g0, _, g2, g3 = _theta_ratio_derivs(d, ctx)
-        _, gamma1, u1 = edge_expansion_coefficients(geom)
+        gamma1, u1 = edge_expansion_coefficients(geom)
         gu = geom.gamma0_sq * geom.u0
         rhs = (3.0 / gu) * g2 - (6.0 * (2.0 * gamma1 + u1)
                                  / (gu * geom.u0 ** 2)) * g0
@@ -204,8 +201,7 @@ def g1hat(gap: GapPair, geom: DerivedGeometry | None = None) -> float:
     return -total / 16.0
 
 
-def oscillation_functional(omega: float, geom: DerivedGeometry,
-                           ctx: ThetaContext | None = None) -> complex:
+def oscillation_functional(omega: float, geom: DerivedGeometry) -> complex:
     """T1(omega), the subleading functional of the differential identity.
 
     Assembled from the edge expansion of the outer model solution:
@@ -219,8 +215,7 @@ def oscillation_functional(omega: float, geom: DerivedGeometry,
 
     and the identity states T1(omega) = 2 theta3'(omega)/theta3(omega).
     """
-    if ctx is None:
-        ctx = geom.theta_context()
+    ctx = geom.theta_context()
     d = geom.d
     u0 = geom.u0
     t3_0 = theta_eval(3, 0.0, ctx)
@@ -246,6 +241,18 @@ def _fd_richardson(f: Callable[[float], float], x: float,
     return (4.0 * d2 - d1) / 3.0
 
 
+def _band_energy(geom: DerivedGeometry) -> float:
+    """-x1 x2 - (v2-v1)^2/8, whose v2-derivative is zeta0^2/4."""
+    return -geom.x1 * geom.x2 - (geom.v2 - geom.v1) ** 2 / 8.0
+
+
+def _domega_dv2(geom: DerivedGeometry) -> float:
+    """dOmega/dv2 = (v2-x1)(x2-v2) / (I0 (1-v2^2)(v2-v1))."""
+    v1, v2 = geom.v1, geom.v2
+    return ((v2 - geom.x1) * (geom.x2 - v2)
+            / (geom.elliptic.I0 * (1.0 - v2 * v2) * (v2 - v1)))
+
+
 def _g_primitive(s: float, v1: float, v2: float) -> float:
     """The primitive whose v2-derivative the differential identity gives.
 
@@ -255,7 +262,7 @@ def _g_primitive(s: float, v1: float, v2: float) -> float:
     geom = derive_geometry(GapPair(v1, v2))
     ctx = geom.theta_context()
     th = theta_eval(3, s * geom.Omega, ctx).real
-    return (s * s * (-geom.x1 * geom.x2 - (v2 - v1) ** 2 / 8.0)
+    return (s * s * _band_energy(geom)
             + math.log(th) - 0.5 * math.log(geom.elliptic.I0)
             - 0.125 * sum(math.log(q) for q in geom.q_at))
 
@@ -263,14 +270,11 @@ def _g_primitive(s: float, v1: float, v2: float) -> float:
 def _g_primitive_rate(s: float, geom: DerivedGeometry) -> float:
     """Closed-form d/dv2 of _g_primitive from the derivative identities."""
     v1, v2 = geom.v1, geom.v2
-    I0 = geom.elliptic.I0
     ctx = geom.theta_context()
     om = s * geom.Omega
     th = theta_eval(3, om, ctx).real
     th1 = theta_eval(3, om, ctx, 1).real
     th2 = theta_eval(3, om, ctx, 2).real
-    dOmega = ((v2 - geom.x1) * (geom.x2 - v2)
-              / (I0 * (1.0 - v2 * v2) * (v2 - v1)))
     qv2 = geom.q_at[2]
     denom = (1.0 - v2 * v2) * (v2 - v1)
     q2 = qv2 * qv2 / denom
@@ -280,7 +284,7 @@ def _g_primitive_rate(s: float, geom: DerivedGeometry) -> float:
     dlog_qp1 = (-0.5 - (v2 - v1) / 4.0 - q2) / geom.q_at[3]
     dlog_i0 = -qv2 / denom
     return (s * s * geom.zeta0 ** 2 / 4.0
-            + s * dOmega * th1 / th
+            + s * _domega_dv2(geom) * th1 / th
             + (geom.u0 ** 2 / 4.0) * th2 / th
             - 0.5 * dlog_i0
             - 0.125 * (dlog_qm1 + dlog_qv1 + dlog_qv2 + dlog_qp1))
@@ -319,22 +323,18 @@ def derivative_identity_residuals(gap: GapPair,
         return 1.0 / derive_geometry(GapPair(v1, x)).elliptic.I0
 
     fd = _fd_richardson(omega_of, v2)
-    rhs = ((v2 - geom.x1) * (geom.x2 - v2)
-           / (geom.elliptic.I0 * (1.0 - v2 * v2) * (v2 - v1)))
+    rhs = _domega_dv2(geom)
     out.append(_report("domega_dv2", abs(fd - rhs) / abs(rhs), inputs,
                        "fd_derivative"))
 
-    def band_energy(x: float) -> float:
-        g2 = derive_geometry(GapPair(v1, x))
-        return -g2.x1 * g2.x2 - (x - v1) ** 2 / 8.0
-
-    fd = _fd_richardson(band_energy, v2)
+    fd = _fd_richardson(lambda x: _band_energy(derive_geometry(GapPair(v1, x))),
+                        v2)
     rhs = geom.zeta0 ** 2 / 4.0
     out.append(_report("zeta0_sq", abs(fd - rhs) / abs(rhs), inputs,
                        "fd_derivative"))
 
     ctx = geom.theta_context()
-    t1 = oscillation_functional(omega, geom, ctx)
+    t1 = oscillation_functional(omega, geom)
     rhs_t1 = 2.0 * theta_eval(3, omega, ctx, 1) / theta_eval(3, omega, ctx)
     out.append(_report("t1_functional", abs(t1 - rhs_t1) / max(1.0, abs(rhs_t1)),
                        inputs, "t1"))
@@ -346,17 +346,22 @@ def derivative_identity_residuals(gap: GapPair,
     return out
 
 
-def _composite_gauss_01(f: Callable[[np.ndarray], np.ndarray], panels: int = 8,
-                        nodes: int = 32):
+# the composite Gauss-Legendre rule of the period integrals: _PANELS
+# equal panels of _NODES nodes each
+_PANELS = 8
+_NODES = 32
+
+
+def _composite_gauss_01(f: Callable[[np.ndarray], np.ndarray]):
     """int_0^1 f(z) dz by a composite Gauss-Legendre rule.
 
     f takes the array of all nodes and returns its values there, or a
     stack of several integrands (one per row), each integrated by the
     same rule.
     """
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    a = np.arange(panels)[:, None] / panels
-    b = (np.arange(panels)[:, None] + 1) / panels
+    t, w = np.polynomial.legendre.leggauss(_NODES)
+    a = np.arange(_PANELS)[:, None] / _PANELS
+    b = (np.arange(_PANELS)[:, None] + 1) / _PANELS
     z = (t + 1.0) * (b - a) / 2.0 + a
     return (f(z.ravel()) * (w * (b - a) / 2.0).ravel()).sum(axis=-1)
 
@@ -434,7 +439,6 @@ def run_suite(name: str, fine: bool = False) -> list[ResidualReport]:
                 for om in (omegas if which == "a" else omegas[:1]):
                     reports.append(theta_identity_residual(which, gap, om, geom))
     elif name == "geometry":
-        from .two_gap import abel_map
         for gap in grid:
             reports.append(period_relation_residual(gap))
             geom = derive_geometry(gap)

@@ -21,7 +21,8 @@ differentiation, never by finite differences.  Two numerical regimes:
   exp(-(i pi / tau)(k - z)^2), whose terms decay like a Gaussian in k.
 
 Truncation stops once the next term falls below 1e-17 of the running
-maximum; exceeding the term budget raises SeriesTruncationError.
+maximum; exceeding the term budget raises SeriesTruncationError.  A
+non-finite tau or point is refused with DomainError.
 
 theta_eval also takes a numpy array of points, such as quadrature nodes
 on the real line.  The argument reduction, the half-period shifts and the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,21 +53,21 @@ _BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Immutable modulus data: tau in the upper half-plane and its nome."""
+    """Immutable modulus data: a finite tau in the upper half-plane and
+    its nome q = exp(i pi tau), which is computed from tau."""
 
     tau: complex
-    nome: complex
+    nome: complex = field(init=False)
 
     def __post_init__(self):
-        if not self.tau.imag > 0.0:
-            raise DomainError(f"Im tau must be positive, got tau={self.tau}")
+        if not (cmath.isfinite(self.tau) and self.tau.imag > 0.0):
+            raise DomainError(
+                f"tau must be finite with Im tau > 0, got tau={self.tau}")
+        object.__setattr__(self, "nome", cmath.exp(1j * math.pi * self.tau))
 
     @classmethod
     def from_tau(cls, tau: complex) -> "ThetaContext":
-        tau = complex(tau)
-        if not tau.imag > 0.0:
-            raise DomainError(f"Im tau must be positive, got tau={tau}")
-        return cls(tau=tau, nome=cmath.exp(1j * math.pi * tau))
+        return cls(complex(tau))
 
 
 def _exp(w):
@@ -87,8 +88,7 @@ def _reduce(z, tau: complex):
         return z0 - np.round(z0.real), n
     n = round(z.imag / tau.imag)
     z0 = z - n * tau
-    z0 = z0 - round(z0.real)
-    return z0, n
+    return z0 - round(z0.real), n
 
 
 def _series_direct(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex]:
@@ -114,7 +114,7 @@ def _series_direct(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex]:
         if m > _MAX_TERMS:
             raise SeriesTruncationError(
                 f"theta series did not converge within {_MAX_TERMS} terms "
-                f"(last term ~ {size:.3e})", bound=size)
+                f"(last term ~ {size:.3e})")
 
 
 def _series_direct_array(z0: np.ndarray, ctx: ThetaContext,
@@ -143,7 +143,7 @@ def _series_direct_array(z0: np.ndarray, ctx: ThetaContext,
         if m > _MAX_TERMS:
             raise SeriesTruncationError(
                 f"theta series did not converge within {_MAX_TERMS} terms "
-                f"(last term ~ {size.max():.3e})", bound=float(size.max()))
+                f"(last term ~ {size.max():.3e})")
 
 
 def _series_transform(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex]:
@@ -181,7 +181,7 @@ def _series_transform(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex
         k += 1
         if k > _MAX_TERMS:
             raise SeriesTruncationError(
-                "transformed theta series did not converge", bound=abs(vals[0]))
+                "transformed theta series did not converge")
     return [pref * v for v in vals[: kmax + 1]]
 
 
@@ -217,72 +217,21 @@ def _series_transform_array(z0: np.ndarray, ctx: ThetaContext,
         k += 1
         if k > _MAX_TERMS:
             raise SeriesTruncationError(
-                "transformed theta series did not converge",
-                bound=float(np.abs(vals[0]).max()))
+                "transformed theta series did not converge")
     return [pref * v for v in vals[: kmax + 1]]
-
-
-def _theta3_parts(z, ctx: ThetaContext,
-                  kmax: int) -> tuple[complex, complex, list[complex]]:
-    """(log_factor, rate, raw) with
-    theta_3^{(k)}(z) = e^log_factor sum_j C(k,j) rate^{k-j} raw[j].
-
-    The quasi-period factor from the argument reduction
-    theta(z0 + n tau) = exp(-2 pi i n z0 - pi i n^2 tau) theta(z0)
-    is kept in log form (rate = -2 pi i n is its z-derivative), so a
-    caller can fold further exponential prefactors into one exp call.
-    """
-    z0, n = _reduce(z, ctx.tau)
-    use_transform = abs(ctx.nome) > _NOME_SWITCH and abs(ctx.tau.real) < 1e-12
-    if isinstance(z0, np.ndarray):
-        series = _series_transform_array if use_transform else _series_direct_array
-        moved = n.any()
-    else:
-        series = _series_transform if use_transform else _series_direct
-        moved = n != 0
-    raw = series(z0, ctx, kmax)
-    if not moved:
-        return 0j, 0j, raw
-    logfac = -2j * math.pi * n * z0 - 1j * math.pi * n * n * ctx.tau
-    return logfac, -2j * math.pi * n, raw
-
-
-def _theta3_derivs(z, ctx: ThetaContext, kmax: int) -> list[complex]:
-    """theta_3^{(k)}(z) for k = 0..kmax, with argument reduction."""
-    logfac, rate, raw = _theta3_parts(z, ctx, kmax)
-    if isinstance(rate, complex) and rate == 0:
-        return raw[: kmax + 1]
-    fac = _exp(logfac)
-    out = []
-    for k in range(kmax + 1):
-        acc = 0j
-        for j in range(k + 1):
-            acc += _BINOM[k][j] * rate ** (k - j) * raw[j]
-        out.append(fac * acc)
-    return out
-
-
-def _shifted(z, ctx: ThetaContext, order: int, shift: complex,
-             pref_rate: complex, pref_const: complex):
-    """order-th derivative of pref_const*exp(pref_rate*z)*theta_3(z+shift).
-
-    Both the explicit prefactor and the reduction factor are
-    exponentials linear in z, so they combine into a single exp and a
-    single binomial pass with the summed rate.
-    """
-    logfac, red_rate, raw = _theta3_parts(z + shift, ctx, order)
-    rate = pref_rate + red_rate
-    acc = 0j
-    for j in range(order + 1):
-        acc += _BINOM[order][j] * rate ** (order - j) * raw[j]
-    return pref_const * _exp(pref_rate * z + logfac) * acc
 
 
 def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
     """theta_j^{(order)}(z; tau) for j in 1..4 and order in 0..3.
 
-    z is a number, or a numpy array of points, which gives the array of
-    values at those points.
+    z is a finite number, or a numpy array of finite points, which gives
+    the array of values at those points.
+
+    Every theta_j is const * exp(pref z) * theta_3(z + shift).  Reducing
+    z + shift = z0 + n tau (mod 1) brings in the quasi-period factor
+    theta_3(z0 + n tau) = exp(-2 pi i n z0 - pi i n^2 tau) theta_3(z0).
+    Both factors are exponentials linear in z, so they combine into a
+    single exp and a single binomial pass with the summed rate.
     """
     if j not in (1, 2, 3, 4):
         raise DomainError(f"theta index must be 1..4, got {j}")
@@ -290,19 +239,47 @@ def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
         raise DomainError(f"derivative order must be 0..3, got {order}")
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
+        if not np.isfinite(z).all():
+            raise DomainError("theta_eval requires finite points")
     else:
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"theta_eval requires a finite point, got {z}")
         if j == 1 and order % 2 == 0 and z == 0.0:
             return 0j  # theta_1 is odd
     tau = ctx.tau
     if j == 3:
-        return _theta3_derivs(z, ctx, order)[order]
-    if j == 4:
-        return _theta3_derivs(z + 0.5, ctx, order)[order]
-    quarter = cmath.exp(1j * math.pi * tau / 4.0)
-    if j == 1:
-        return _shifted(z, ctx, order, shift=-(tau + 1.0) / 2.0,
-                        pref_rate=-1j * math.pi, pref_const=1j * quarter)
-    return _shifted(z, ctx, order, shift=-tau / 2.0,
-                    pref_rate=-1j * math.pi, pref_const=quarter)
-
+        z0, n = _reduce(z, tau)
+    elif j == 4:
+        z0, n = _reduce(z + 0.5, tau)
+    elif j == 1:
+        z0, n = _reduce(z + -(tau + 1.0) / 2.0, tau)
+    else:
+        z0, n = _reduce(z + -tau / 2.0, tau)
+    use_transform = abs(ctx.nome) > _NOME_SWITCH and abs(tau.real) < 1e-12
+    if isinstance(z0, np.ndarray):
+        series = _series_transform_array if use_transform else _series_direct_array
+        moved = n.any()
+    else:
+        series = _series_transform if use_transform else _series_direct
+        moved = n != 0
+    raw = series(z0, ctx, order)
+    if moved:
+        logfac = -2j * math.pi * n * z0 - 1j * math.pi * n * n * tau
+        rate = -2j * math.pi * n
+    elif j > 2:
+        return raw[order]
+    else:
+        logfac = rate = 0j
+    if j > 2:
+        fac = _exp(logfac)
+    else:
+        # theta_1 = i exp(-pi i z + pi i tau/4) theta_3(z - (tau+1)/2) and
+        # theta_2 = exp(-pi i z + pi i tau/4) theta_3(z - tau/2)
+        quarter = cmath.exp(1j * math.pi * tau / 4.0)
+        rate = -1j * math.pi + rate
+        fac = (1j * quarter if j == 1 else quarter) * _exp(-1j * math.pi * z + logfac)
+    acc = 0j
+    for i in range(order + 1):
+        acc += _BINOM[order][i] * rate ** (order - i) * raw[i]
+    return fac * acc

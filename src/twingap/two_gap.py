@@ -54,7 +54,6 @@ class DerivedGeometry:
     Omega: float
     tau: complex
     d: complex
-    zhat: float
     zeta0: float
     gamma0_sq: complex
     u0: float
@@ -98,8 +97,8 @@ def derive_geometry(gap: GapPair) -> DerivedGeometry:
 
         d = -1/2 + tau/2 - (i / (2 I0)) int_{-inf}^{-1} dx/sqrt(p),
 
-    reduced into the fundamental cell.  (Equivalently d = u(zhat)
-    - (1 - tau)/2 with zhat = (v1+v2)/(2 + v1 - v2) the zero of
+    reduced into the fundamental cell.  (Equivalently d = u(z*)
+    - (1 - tau)/2 with z* = (v1+v2)/(2 + v1 - v2) the zero of
     gamma - 1/gamma; both forms agree mod 1, and the theta identities
     pin the overall sign.)
     """
@@ -118,13 +117,12 @@ def derive_geometry(gap: GapPair) -> DerivedGeometry:
     tau = 1j * e.J0 / e.I0
     c = tail_integral(gap) / (2.0 * e.I0)
     d = _reduce_to_cell(complex(-0.5, tau.imag / 2.0 - c), tau)
-    zhat = (v1 + v2) / (2.0 + v1 - v2)
     zeta0 = 2.0 * (v2 - x1) * (x2 - v2) / math.sqrt((1.0 - v2 * v2) * (v2 - v1))
     u0 = 1.0 / (e.I0 * math.sqrt((v2 - v1) * (1.0 - v2 * v2)))
     gamma0_sq = 1j * math.sqrt((1.0 - v2) * (v2 - v1) / (1.0 + v2))
     q_at = tuple(abs((y - x1) * (y - x2)) for y in (-1.0, v1, v2, 1.0))
     return DerivedGeometry(gap=gap, elliptic=e, x1=x1, x2=x2, G0=G0,
-                           Omega=Omega, tau=tau, d=d, zhat=zhat, zeta0=zeta0,
+                           Omega=Omega, tau=tau, d=d, zeta0=zeta0,
                            gamma0_sq=gamma0_sq, u0=u0, q_at=q_at)
 
 
@@ -147,19 +145,13 @@ def abel_map(z: float, gap: GapPair, geom: DerivedGeometry | None = None) -> com
         geom = derive_geometry(gap)
     v1, v2 = gap.v1, gap.v2
     e = geom.elliptic
-    tau = geom.tau
+    branch = branch_point_u(geom)
 
     if math.isinf(z):
         c = tail_integral(gap) / (2.0 * e.I0)
-        return -tau / 2.0 - 0.5 + 1j * c
-    if z == v2:
-        return 0j
-    if z == 1.0:
-        return complex(-0.5, 0.0)
-    if z == -1.0:
-        return -tau / 2.0 - 0.5
-    if z == v1:
-        return -tau / 2.0
+        return branch[-1.0] + 1j * c
+    if z in branch:
+        return branch[z]
     if v1 < z < v2:
         f = lambda x: 1.0 / np.sqrt((1.0 - x * x) * (x - v1))
         val = _refine(lambda n: integrate_left_sqrt(f, z, v2, n))
@@ -172,6 +164,6 @@ def abel_map(z: float, gap: GapPair, geom: DerivedGeometry | None = None) -> com
         # |p| = (1-x)(-1-x)(v1-x)(v2-x) here; (-1-x) is the weight
         f = lambda x: 1.0 / np.sqrt((1.0 - x) * (v1 - x) * (v2 - x))
         val = _refine(lambda n: integrate_left_sqrt(f, z, -1.0, n))
-        return -tau / 2.0 - 0.5 + 1j * val / (2.0 * e.I0)
+        return branch[-1.0] + 1j * val / (2.0 * e.I0)
     raise DomainError(
         f"abel_map is undefined on the open gaps (-1,v1) and (v2,1); got z={z}")

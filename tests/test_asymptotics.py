@@ -9,6 +9,7 @@ from twingap import (AmbiguousRegimeError, DomainError, GapPair, Regime,
                      expansion_merging, expansion_merging_limit,
                      expansion_one_gap, expansion_two_gap, legendre_kappa,
                      nearest_frac, select_regime, theta_eval)
+from twingap.asymptotics import _merging_scales
 from twingap.identities import _g_primitive
 
 from reference import complete_elliptic
@@ -218,3 +219,25 @@ def test_expand_is_finite_or_refuses(pair, s):
     except TwinGapError:
         return
     assert math.isfinite(total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_narrow, _left_edge, _right_edge, _regular))
+def test_merging_scale_is_below_a_quarter(pair):
+    # nu < beta and nu < |alpha| for every valid gap, so gamma nu < 1/4
+    # and L = log(1/(gamma nu)) > 0: the merging formulas need no check
+    # of L
+    nu, gamma, _, L, _, _ = _merging_scales(1.0, GapPair(*pair))
+    assert gamma * nu < 0.25
+    assert L > 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(_log_uniform(-300, 300))
+def test_band_index_is_an_exact_whole_number(omega0):
+    # omega0 - <omega0> is computed without rounding (Sterbenz): a whole
+    # number k >= 0 with k + <omega0> == omega0
+    fr = nearest_frac(omega0)
+    k = omega0 - fr
+    assert k >= 0.0 and k.is_integer()
+    assert k + fr == omega0

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import twingap.identities
 from twingap import WIDOM_DYSON_C0
 from twingap.cli import main
 
@@ -133,3 +134,16 @@ def test_console_script_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "twingap.cli"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_validate_rejects_bad_tolerance(tol, capsys, monkeypatch):
+    # a usage error before any suite runs: exit 2, nothing on stdout
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before --tol was checked")
+
+    monkeypatch.setattr(twingap.identities, "run_suite", no_suite)
+    code, out, err = run_cli(["validate", "--suite", "all", "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err

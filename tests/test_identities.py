@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from twingap import (DomainError, GapPair, ThetaContext,
+from twingap import (DomainError, GapPair, ThetaContext, identities,
                      derivative_identity_residuals, derive_geometry, g1hat,
                      period_relation_residual, theta_identity_residual,
                      theta_integral_residuals)
@@ -133,15 +133,16 @@ def test_theta_integral_integer_u_rejected():
         theta_integral_residuals(ctx, d=0.2 + 0.45j, u=1.0)
 
 
-def test_quadrature_refinement_never_degrades():
+def test_quadrature_refinement_never_degrades(monkeypatch):
     # doubling panels and nodes must not grow any residual by more than
     # a factor 2 (guarding against accidental non-convergence)
     ctx = ThetaContext.from_tau(1.5j)
 
     def worst(panels, nodes):
+        monkeypatch.setattr(identities, "_PANELS", panels)
+        monkeypatch.setattr(identities, "_NODES", nodes)
         val = _composite_gauss_01(
-            lambda z: (theta_eval(3, z, ctx, 1) / theta_eval(3, z, ctx)) ** 2,
-            panels=panels, nodes=nodes)
+            lambda z: (theta_eval(3, z, ctx, 1) / theta_eval(3, z, ctx)) ** 2)
         rhs = (math.pi ** 2 / 3
                + theta_eval(1, 0.0, ctx, 3) / (3 * theta_eval(1, 0.0, ctx, 1)))
         return abs(val - rhs)

@@ -186,3 +186,23 @@ def test_array_matches_scalar(t):
                 ref = np.array([theta_eval(j, complex(z), ctx, order) for z in zs])
                 assert arr.shape == zs.shape
                 assert np.abs(arr - ref).max() <= 1e-13 * np.abs(ref).max(), (j, shift, order)
+
+
+@pytest.mark.parametrize("tau", [complex(0.0, math.inf), complex(math.nan, 1.0),
+                                 complex(0.0, math.nan), complex(math.inf, 1.0),
+                                 complex(0.0, -1000.0)])
+def test_context_refuses_non_finite_or_lower_tau(tau):
+    with pytest.raises(DomainError):
+        ThetaContext.from_tau(tau)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan,
+                               complex(0.3, math.inf), complex(math.nan, 0.0)])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_non_finite_point_refused(j, z):
+    with pytest.raises(DomainError):
+        theta_eval(j, z, CTX)
+    # an array with one bad point is refused up front, not after the
+    # whole term budget
+    with pytest.raises(DomainError):
+        theta_eval(j, np.array([0.1, z, 0.4]), CTX, 1)

@@ -101,6 +101,12 @@ def test_abel_map_special_points():
     # u(inf) + d vanishes mod 1
     val = abel_map(math.inf, gap, geom) + geom.d
     assert abs(val - round(val.real)) < 1e-10
+    # the other two branch points take the exact representatives
+    exact = twingap.two_gap.branch_point_u(geom)
+    for z in (gap.v1, -1.0):
+        u = abel_map(z, gap, geom)
+        assert (u.real.hex(), u.imag.hex()) == (exact[z].real.hex(),
+                                                exact[z].imag.hex())
 
 
 def test_abel_map_derivative_on_each_branch():
@@ -141,7 +147,8 @@ def test_alternative_abel_constant_route():
     # where gamma - 1/gamma vanishes
     for gap in GRID:
         geom = derive_geometry(gap)
-        alt = abel_map(geom.zhat, gap, geom) - (1 - geom.tau) / 2
+        zhat = (gap.v1 + gap.v2) / (2.0 + gap.v1 - gap.v2)
+        alt = abel_map(zhat, gap, geom) - (1 - geom.tau) / 2
         diff = alt - geom.d
         assert abs(diff - round(diff.real)) < 1e-10
 
