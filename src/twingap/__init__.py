@@ -17,8 +17,7 @@ from .asymptotics import (ExpansionBreakdown, Regime, WIDOM_DYSON_C0,
                           select_regime)
 from .elliptic import EllipticData, GapPair, elliptic_data, tail_integral
 from .errors import (AmbiguousRegimeError, DomainError,
-                     IllConditionedGeometryError, SeriesTruncationError,
-                     TwinGapError)
+                     IllConditionedGeometryError, TwinGapError)
 from .identities import (ResidualReport, derivative_identity_residuals, g1hat,
                          period_relation_residual, run_suite,
                          theta_identity_residual, theta_integral_residuals)
@@ -31,9 +30,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousRegimeError", "DerivedGeometry", "DomainError", "EllipticData",
     "ExpansionBreakdown", "GapPair", "IllConditionedGeometryError",
-    "OracleResult", "Regime", "ResidualReport", "SeriesTruncationError",
-    "ThetaContext", "TwinGapError", "WIDOM_DYSON_C0", "abel_map",
-    "barnes_g_int", "derivative_identity_residuals", "derive_geometry",
+    "OracleResult", "Regime", "ResidualReport", "ThetaContext", "TwinGapError",
+    "WIDOM_DYSON_C0", "abel_map", "barnes_g_int",
+    "derivative_identity_residuals", "derive_geometry",
     "elliptic_data", "expand", "expansion_merging", "expansion_merging_limit",
     "expansion_one_gap", "expansion_two_gap", "fredholm_logdet", "g1hat",
     "legendre_kappa", "nearest_frac", "period_relation_residual", "run_suite",

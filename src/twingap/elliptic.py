@@ -28,6 +28,10 @@ from .errors import DomainError, IllConditionedGeometryError
 
 # Endpoints closer than this are hopeless in double precision.
 MIN_ENDPOINT_GAP = 1e-12
+# Narrowest band half-width a GapPair accepts.  The merging scale
+# 1/(gamma nu), gamma >= 1/4, overflows once nu is below about 4/DBL_MAX
+# (2.2e-308); narrower bands would reach every expansion as inf or 0.
+MIN_BAND_HALF_WIDTH = 1e-300
 
 _DEFAULT_NODES = 200
 _MAX_NODES = 6400
@@ -45,7 +49,8 @@ class GapPair:
     """Two gap endpoints v1 < v2 inside (-1, 1).
 
     The eigenvalue-free set is A = (-1, v1) u (v2, 1); the complementary
-    band (v1, v2) separates the two gaps.
+    band (v1, v2) separates the two gaps.  A band whose half-width nu is
+    below MIN_BAND_HALF_WIDTH is refused with DomainError.
     """
 
     v1: float
@@ -58,6 +63,9 @@ class GapPair:
             raise DomainError(
                 f"need -1 < v1 < v2 < 1, got v1={self.v1}, v2={self.v2}"
             )
+        if self.nu < MIN_BAND_HALF_WIDTH:
+            raise DomainError(
+                f"band half-width {self.nu:.3g} is below {MIN_BAND_HALF_WIDTH:g}")
 
     @property
     def nu(self) -> float:

@@ -13,9 +13,5 @@ class IllConditionedGeometryError(TwinGapError):
     """Gap endpoints too close for reliable double-precision quadrature."""
 
 
-class SeriesTruncationError(TwinGapError):
-    """A theta series failed to converge within the term budget."""
-
-
 class AmbiguousRegimeError(TwinGapError):
     """Asymptotic regime selection is contradictory for the given inputs."""

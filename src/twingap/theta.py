@@ -11,24 +11,27 @@ theta_1, theta_2, theta_4 from the half-period shift relations
     theta_4(z) = theta_3(z + 1/2).
 
 All z-derivatives (orders 0..3) are obtained by term-wise analytic
-differentiation, never by finite differences.  Two numerical regimes:
+differentiation, never by finite differences.  tau must be purely
+imaginary, tau = i t; anything else is refused with DomainError.  Two
+numerical regimes:
 
 * nome |q| <= 0.5: the defining series, after reducing Re z mod 1 and
-  Im z mod Im tau (tracking the quasi-period factor) so the exponentials
+  Im z mod t (tracking the quasi-period factor) so the exponentials
   stay O(1);
-* nome |q| > 0.5 (small Im tau, the merging regime): the imaginary
-  modular transform theta_3(z; tau) = (-i tau)^{-1/2} sum_k
+* nome |q| > 0.5 (small t, the merging regime): the imaginary modular
+  transform theta_3(z; tau) = (-i tau)^{-1/2} sum_k
   exp(-(i pi / tau)(k - z)^2), whose terms decay like a Gaussian in k.
 
-Truncation stops once the next term falls below 1e-17 of the running
-maximum; exceeding the term budget raises SeriesTruncationError.  A
-non-finite tau or point is refused with DomainError.
+On tau = i t both series have closed-form tail bounds at a reduced
+point, so the number of terms is fixed by t (and the derivative order)
+before summing: the defining series stops where its terms fall below
+1e-17 of the m = 0 term, the transform where its Gaussians fall below
+1e-22 of the one nearest the point.  A non-finite tau or point is
+refused with DomainError.
 
 theta_eval also takes a numpy array of points, such as quadrature nodes
-on the real line.  The argument reduction, the half-period shifts and the
-binomial steps act on arrays as they are; only the two series sums have
-array forms, in which each point stops taking terms by the rule of a
-scalar call at that point.
+on the real line.  The argument reduction, the half-period shifts, the
+two series sums and the binomial steps act on arrays as they are.
 """
 
 from __future__ import annotations
@@ -36,33 +39,33 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, SeriesTruncationError
+from .errors import DomainError
 
 _TRUNC_REL = 1e-17
 # direct series beyond this nome converges too slowly; switch to the
 # modular transform (|q| = 0.5 at Im tau = log 2 / pi ~ 0.2206)
 _NOME_SWITCH = 0.5
-# term budget of every series sum; past it SeriesTruncationError
-_MAX_TERMS = 4000
 
 _BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
 
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Immutable modulus data: a finite tau in the upper half-plane and
-    its nome q = exp(i pi tau), which is computed from tau."""
+    """Immutable modulus data: a finite, purely imaginary tau = i t with
+    t > 0, and its nome q = exp(i pi tau), which is computed from tau."""
 
     tau: complex
     nome: complex = field(init=False)
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.tau) and self.tau.imag > 0.0):
+        if not (cmath.isfinite(self.tau) and self.tau.real == 0.0
+                and self.tau.imag > 0.0):
             raise DomainError(
-                f"tau must be finite with Im tau > 0, got tau={self.tau}")
+                f"tau must be i t with finite t > 0, got tau={self.tau}")
         object.__setattr__(self, "nome", cmath.exp(1j * math.pi * self.tau))
 
     @classmethod
@@ -91,134 +94,70 @@ def _reduce(z, tau: complex):
     return z0 - round(z0.real), n
 
 
-def _series_direct(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex]:
-    """theta_3 derivatives 0..kmax at a reduced point, defining series."""
+@lru_cache(maxsize=256)
+def _direct_terms(t: float, order: int) -> int:
+    """Last m of the defining series at tau = i t, for derivatives up to
+    order.  At a reduced point |Im z0| <= t/2, so the +-m pair of the
+    order-th derivative is at most 2 (2 pi m)^order exp(-pi t (m^2 - m)),
+    against 1 for the m = 0 term."""
+    m = 1
+    while (2.0 * (2.0 * math.pi * m) ** order
+           * math.exp(-math.pi * t * (m * m - m))) >= _TRUNC_REL:
+        m += 1
+    return m
+
+
+@lru_cache(maxsize=256)
+def _transform_terms(t: float) -> int:
+    """Last shift k of the transformed series at tau = i t.  At a reduced
+    point |Re z0| <= 1/2, so the Gaussians at +-k are at most
+    exp(-(pi/t)(k^2 - k)) times the one at k = 0, nearest the point; the
+    extra 1e-5 margin covers the Hermite factors of the derivatives."""
+    a = math.pi / t
+    k = 1
+    while math.exp(-a * (k * k - k)) >= 1e-5 * _TRUNC_REL:
+        k += 1
+    return k
+
+
+def _series_direct(z0, ctx: ThetaContext, kmax: int) -> list:
+    """theta_3 derivatives 0..kmax at a reduced point (a number or an
+    array of points), defining series over |m| <= _direct_terms."""
     tau = ctx.tau
     vals = [1.0 + 0j] + [0j] * kmax
-    running = 1.0
-    m = 1
-    while True:
+    for m in range(1, _direct_terms(tau.imag, kmax) + 1):
         qm = cmath.exp(1j * math.pi * tau * m * m)
-        ep = cmath.exp(2j * math.pi * z0 * m) * qm
-        em = cmath.exp(-2j * math.pi * z0 * m) * qm
+        ep = _exp(2j * math.pi * z0 * m) * qm
+        em = _exp(-2j * math.pi * z0 * m) * qm
         for k in range(kmax + 1):
             c = (2j * math.pi * m) ** k
             vals[k] += c * ep + (-1) ** k * c * em
-        running = max(running, abs(vals[0]))
-        # envelope never cancels by phase, unlike the summed term (at
-        # quarter periods the +-m pair can vanish while m+1 does not)
-        size = (2.0 * math.pi * m) ** kmax * (abs(ep) + abs(em))
-        if size < _TRUNC_REL * max(running, 1e-300):
-            return vals
-        m += 1
-        if m > _MAX_TERMS:
-            raise SeriesTruncationError(
-                f"theta series did not converge within {_MAX_TERMS} terms "
-                f"(last term ~ {size:.3e})")
+    return vals
 
 
-def _series_direct_array(z0: np.ndarray, ctx: ThetaContext,
-                         kmax: int) -> list[np.ndarray]:
-    """_series_direct at every point of an array; a point stops taking
-    terms after the first m that stops the scalar sum at that point."""
-    tau = ctx.tau
-    vals = [np.ones(z0.shape, complex)] + [np.zeros(z0.shape, complex)
-                                           for _ in range(kmax)]
-    running = np.ones(z0.shape)
-    live = np.ones(z0.shape, bool)
-    m = 1
-    while True:
-        qm = cmath.exp(1j * math.pi * tau * m * m)
-        ep = np.exp(2j * math.pi * z0 * m) * qm
-        em = np.exp(-2j * math.pi * z0 * m) * qm
-        for k in range(kmax + 1):
-            c = (2j * math.pi * m) ** k
-            vals[k] += np.where(live, c * ep + (-1) ** k * c * em, 0j)
-        running = np.maximum(running, np.abs(vals[0]))
-        size = (2.0 * math.pi * m) ** kmax * (np.abs(ep) + np.abs(em))
-        live &= ~(size < _TRUNC_REL * running)
-        if not live.any():
-            return vals
-        m += 1
-        if m > _MAX_TERMS:
-            raise SeriesTruncationError(
-                f"theta series did not converge within {_MAX_TERMS} terms "
-                f"(last term ~ {size.max():.3e})")
+def _series_transform(z0, ctx: ThetaContext, kmax: int) -> list:
+    """theta_3 derivatives 0..kmax at a reduced point (a number or an
+    array of points), modular transform over shifts |k| <= _transform_terms.
 
-
-def _series_transform(z0: complex, ctx: ThetaContext, kmax: int) -> list[complex]:
-    """theta_3 derivatives 0..kmax at a reduced point, modular transform.
-
-    Valid for purely imaginary tau = i t; each term is a Gaussian
-    exp(-(pi/t)(k - z)^2) whose z-derivatives are Hermite-type
-    polynomials in u = k - z.
+    Each term is a Gaussian exp(-(pi/t)(k - z)^2) whose z-derivatives
+    are Hermite-type polynomials in u = k - z.
     """
     t = ctx.tau.imag
     a = math.pi / t
     pref = 1.0 / cmath.sqrt(-1j * ctx.tau)
-    vals = [0j] * 4
-    k0 = int(round(z0.real))
-    k = 0
-    running = 0.0
-    while True:
-        done_small = True
-        for kk in ({k0} if k == 0 else {k0 - k, k0 + k}):
+    vals = [0j] * (kmax + 1)
+    for k in range(_transform_terms(t) + 1):
+        for kk in ((0,) if k == 0 else (-k, k)):
             u = kk - z0
-            e = cmath.exp(-a * u * u)
-            terms = (e,
-                     2.0 * a * u * e,
-                     (4.0 * a * a * u * u - 2.0 * a) * e,
-                     (8.0 * a ** 3 * u ** 3 - 12.0 * a * a * u) * e)
-            for j in range(4):
-                vals[j] += terms[j]
-            # extra 1e-5 margin covers the Hermite polynomial growth of
-            # the derivative terms relative to the bare Gaussian
-            if abs(e) >= 1e-5 * _TRUNC_REL * max(running, 1e-300):
-                done_small = False
-        running = max(running, abs(vals[0]))
-        if k > 0 and done_small:
-            break
-        k += 1
-        if k > _MAX_TERMS:
-            raise SeriesTruncationError(
-                "transformed theta series did not converge")
-    return [pref * v for v in vals[: kmax + 1]]
-
-
-def _series_transform_array(z0: np.ndarray, ctx: ThetaContext,
-                            kmax: int) -> list[np.ndarray]:
-    """_series_transform at every point of an array; a point stops taking
-    terms after the first k that stops the scalar sum at that point."""
-    t = ctx.tau.imag
-    a = math.pi / t
-    pref = 1.0 / cmath.sqrt(-1j * ctx.tau)
-    vals = [np.zeros(z0.shape, complex) for _ in range(4)]
-    k0 = np.round(z0.real)
-    k = 0
-    running = np.zeros(z0.shape)
-    live = np.ones(z0.shape, bool)
-    while True:
-        small = np.ones(z0.shape, bool)
-        for kk in ((k0,) if k == 0 else (k0 - k, k0 + k)):
-            u = kk - z0
-            e = np.exp(-a * u * u)
-            terms = (e,
-                     2.0 * a * u * e,
-                     (4.0 * a * a * u * u - 2.0 * a) * e,
-                     (8.0 * a ** 3 * u ** 3 - 12.0 * a * a * u) * e)
-            for j in range(4):
-                vals[j] += np.where(live, terms[j], 0j)
-            small &= ~(np.abs(e) >= 1e-5 * _TRUNC_REL * np.maximum(running, 1e-300))
-        running = np.maximum(running, np.abs(vals[0]))
-        if k > 0:
-            live &= ~small
-            if not live.any():
-                break
-        k += 1
-        if k > _MAX_TERMS:
-            raise SeriesTruncationError(
-                "transformed theta series did not converge")
-    return [pref * v for v in vals[: kmax + 1]]
+            e = _exp(-a * u * u)
+            vals[0] += e
+            if kmax > 0:
+                vals[1] += 2.0 * a * u * e
+            if kmax > 1:
+                vals[2] += (4.0 * a * a * u * u - 2.0 * a) * e
+            if kmax > 2:
+                vals[3] += (8.0 * a ** 3 * u ** 3 - 12.0 * a * a * u) * e
+    return [pref * v for v in vals]
 
 
 def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
@@ -256,14 +195,9 @@ def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
         z0, n = _reduce(z + -(tau + 1.0) / 2.0, tau)
     else:
         z0, n = _reduce(z + -tau / 2.0, tau)
-    use_transform = abs(ctx.nome) > _NOME_SWITCH and abs(tau.real) < 1e-12
-    if isinstance(z0, np.ndarray):
-        series = _series_transform_array if use_transform else _series_direct_array
-        moved = n.any()
-    else:
-        series = _series_transform if use_transform else _series_direct
-        moved = n != 0
+    series = _series_transform if abs(ctx.nome) > _NOME_SWITCH else _series_direct
     raw = series(z0, ctx, order)
+    moved = n.any() if isinstance(n, np.ndarray) else n != 0
     if moved:
         logfac = -2j * math.pi * n * z0 - 1j * math.pi * n * n * tau
         rate = -2j * math.pi * n

@@ -209,16 +209,38 @@ _right_edge = st.builds(lambda v1, eps: (v1, 1.0 - eps),
                         st.floats(-0.9, 0.9), _log_uniform(-11, -2))
 _regular = st.tuples(st.floats(-0.95, 0.9), st.floats(-0.9, 0.95)).filter(
     lambda t: t[0] < t[1])
+# bands centred at 0 with nu from the smallest subnormal up to 1e-7
+_tiny = _log_uniform(-323.3, -7).map(lambda nu: (-nu, nu))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(_narrow, _left_edge, _right_edge, _regular), _log_uniform(-2, 3))
+@given(st.one_of(_narrow, _left_edge, _right_edge, _regular, _tiny),
+       _log_uniform(-2, 3))
 def test_expand_is_finite_or_refuses(pair, s):
     try:
-        total = expand(s, GapPair(*pair)).total
+        gap = GapPair(*pair)
     except TwinGapError:
         return
-    assert math.isfinite(total)
+    for f in (lambda: expand(s, gap).total,
+              lambda: expansion_merging(s, gap).total,
+              lambda: expansion_merging_limit(s, gap).total):
+        try:
+            total = f()
+        except TwinGapError:
+            continue
+        assert math.isfinite(total)
+    try:
+        select_regime(s, gap)
+    except TwinGapError:
+        pass
+
+
+@pytest.mark.parametrize("pair", [(0.0, 5e-324), (-5e-311, 5e-311),
+                                  (-1.5e-308, 1.5e-308)])
+def test_band_below_the_floor_is_refused(pair):
+    # below MIN_BAND_HALF_WIDTH the merging scale 1/(gamma nu) overflows
+    with pytest.raises(DomainError):
+        GapPair(*pair)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,9 +20,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(twingap.__path__))
 PUBLIC_NAMES = [
     "AmbiguousRegimeError", "DerivedGeometry", "DomainError", "EllipticData",
     "ExpansionBreakdown", "GapPair", "IllConditionedGeometryError",
-    "OracleResult", "Regime", "ResidualReport", "SeriesTruncationError",
-    "ThetaContext", "TwinGapError", "WIDOM_DYSON_C0", "abel_map",
-    "barnes_g_int", "derivative_identity_residuals", "derive_geometry",
+    "OracleResult", "Regime", "ResidualReport", "ThetaContext", "TwinGapError",
+    "WIDOM_DYSON_C0", "abel_map", "barnes_g_int",
+    "derivative_identity_residuals", "derive_geometry",
     "elliptic_data", "expand", "expansion_merging", "expansion_merging_limit",
     "expansion_one_gap", "expansion_two_gap", "fredholm_logdet", "g1hat",
     "legendre_kappa", "nearest_frac", "period_relation_residual", "run_suite",

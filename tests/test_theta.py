@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twingap import DomainError, SeriesTruncationError, ThetaContext, theta_eval
-from twingap import theta
+from twingap import DomainError, ThetaContext, theta_eval
 
 from reference import (theta3_modular_residual, theta_constants,
                        theta_quasi_period_residual)
@@ -128,13 +127,14 @@ def test_real_axis_positivity():
             assert val.real > 0.0
 
 
-def test_context_validation_and_truncation(monkeypatch):
-    with pytest.raises(DomainError):
-        ThetaContext.from_tau(1.0 + 0j)
-    monkeypatch.setattr(theta, "_MAX_TERMS", 5)
-    tiny = ThetaContext.from_tau(0.01j)
-    with pytest.raises(SeriesTruncationError):
-        theta3_modular_residual(0.3, tiny)  # direct branch cannot converge
+def test_context_validation_and_truncation():
+    # every series sum relies on tau = i t for its term count
+    for tau in (1.0 + 0j, 0.3 + 1j, -1e-30 + 0.01j):
+        with pytest.raises(DomainError):
+            ThetaContext.from_tau(tau)
+    # far below the switch (nome 0.97) the defining series still reaches
+    # the transform's value with its own term count
+    assert theta3_modular_residual(0.3, ThetaContext.from_tau(0.01j)) < 1e-12
 
 
 def test_invalid_index_and_order():
@@ -144,21 +144,26 @@ def test_invalid_index_and_order():
         theta_eval(3, 0.0, CTX, order=4)
 
 
-def test_against_mpmath_reference():
+# both sides of the switch at log 2 / pi = 0.22064 and both ends of each
+# branch; CTX.tau.imag is the (-0.5, 0.3) gap
+@pytest.mark.parametrize("t", [0.02, 0.2205, 0.2207, CTX.tau.imag, 20.0])
+def test_against_mpmath_reference(t):
     # independent oracle: mpmath's jtheta scales the argument by pi, so
     # theta_j(z; tau) = jtheta(j, pi z, q) and each z-derivative carries
-    # a factor pi
+    # a factor pi.  Points with |Im z| > t/2 are moved by the reduction.
     import mpmath
     mpmath.mp.dps = 25
-    q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(0, CTX.tau.imag))
-    rng = [(-1.3, 0.4), (0.75, 0.0), (0.31, 0.22), (1.9, -0.6), (-0.25, 0.0)]
-    zs = np.array([complex(re, im) for re, im in rng])
+    ctx = ThetaContext.from_tau(1j * t)
+    q = mpmath.exp(-mpmath.pi * mpmath.mpf(t))
+    rng = [(-1.3, 0.3), (0.75, 0.0), (0.31, 0.16), (1.9, -0.6), (-0.25, 0.0),
+           (0.45, 0.55)]
+    zs = np.array([complex(re, im * t) for re, im in rng])
     for j in (1, 2, 3, 4):
         for order in (0, 1, 2, 3):
             # the same points once more, as one array
-            mine_all = theta_eval(j, zs, CTX, order)
+            mine_all = theta_eval(j, zs, ctx, order)
             for z, mine_arr in zip(zs, mine_all):
-                mine = theta_eval(j, complex(z), CTX, order)
+                mine = theta_eval(j, complex(z), ctx, order)
                 ref = complex(mpmath.jtheta(j, mpmath.pi * z, q,
                                             derivative=order))
                 ref *= math.pi ** order
