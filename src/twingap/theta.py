@@ -27,7 +27,8 @@ point, so the number of terms is fixed by t (and the derivative order)
 before summing: the defining series stops where its terms fall below
 1e-17 of the m = 0 term, the transform where its Gaussians fall below
 1e-22 of the one nearest the point.  A non-finite tau or point is
-refused with DomainError.
+refused with DomainError, and so is a point whose reduction count or
+quasi-period factor overflows double (|Im z| / t very large).
 
 theta_eval also takes a numpy array of points, such as quadrature nodes
 on the real line.  The argument reduction, the half-period shifts, the
@@ -37,7 +38,9 @@ two series sums and the binomial steps act on arrays as they are.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -51,6 +54,8 @@ _TRUNC_REL = 1e-17
 _NOME_SWITCH = 0.5
 
 _BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
+# exp(w) overflows double once Re w exceeds this
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -78,17 +83,34 @@ def _exp(w):
     return np.exp(w) if isinstance(w, np.ndarray) else cmath.exp(w)
 
 
+def _quasi_factor(w):
+    """exp(w) for the exponent w of a quasi-period factor (a number or an
+    array); DomainError where exp(w) is not a finite double."""
+    if isinstance(w, np.ndarray):
+        ok = np.isfinite(w).all() and w.real.max(initial=0.0) <= _LOG_MAX
+    else:
+        ok = cmath.isfinite(w) and w.real <= _LOG_MAX
+    if not ok:
+        raise DomainError("the quasi-period factor of theta overflows double")
+    return _exp(w)
+
+
 def _reduce(z, tau: complex):
     """Shift z by n*tau + m so that |Im z| <= Im tau / 2, |Re z| <= 1/2.
 
     Returns the reduced point and the tau-shift count n (an array of
     counts for an array of points); the integer shift m needs no
-    bookkeeping (period 1).
+    bookkeeping (period 1).  A count that is not finite, where Im z / t
+    overflows, raises DomainError.
     """
     if isinstance(z, np.ndarray):
+        if not float(np.abs(z.imag).max(initial=0.0)) / tau.imag < math.inf:
+            raise DomainError(f"Im z / Im tau overflows at tau={tau}")
         n = np.round(z.imag / tau.imag)
         z0 = z - n * tau
         return z0 - np.round(z0.real), n
+    if not abs(z.imag) / tau.imag < math.inf:
+        raise DomainError(f"Im z / Im tau overflows at z={z}, tau={tau}")
     n = round(z.imag / tau.imag)
     z0 = z - n * tau
     return z0 - round(z0.real), n
@@ -199,20 +221,25 @@ def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
     raw = series(z0, ctx, order)
     moved = n.any() if isinstance(n, np.ndarray) else n != 0
     if moved:
-        logfac = -2j * math.pi * n * z0 - 1j * math.pi * n * n * tau
+        # an array count n near 1e154 overflows n*n, and numpy would warn;
+        # _quasi_factor refuses the result (scalar arithmetic never warns)
+        with (np.errstate(over="ignore", invalid="ignore")
+              if isinstance(n, np.ndarray) else contextlib.nullcontext()):
+            logfac = -2j * math.pi * n * z0 - 1j * math.pi * n * n * tau
         rate = -2j * math.pi * n
     elif j > 2:
         return raw[order]
     else:
         logfac = rate = 0j
     if j > 2:
-        fac = _exp(logfac)
+        fac = _quasi_factor(logfac)
     else:
         # theta_1 = i exp(-pi i z + pi i tau/4) theta_3(z - (tau+1)/2) and
         # theta_2 = exp(-pi i z + pi i tau/4) theta_3(z - tau/2)
         quarter = cmath.exp(1j * math.pi * tau / 4.0)
         rate = -1j * math.pi + rate
-        fac = (1j * quarter if j == 1 else quarter) * _exp(-1j * math.pi * z + logfac)
+        fac = ((1j * quarter if j == 1 else quarter)
+               * _quasi_factor(-1j * math.pi * z + logfac))
     acc = 0j
     for i in range(order + 1):
         acc += _BINOM[order][i] * rate ** (order - i) * raw[i]

@@ -2,7 +2,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twingap import (AmbiguousRegimeError, DomainError, GapPair, Regime,
                      TwinGapError, WIDOM_DYSON_C0, barnes_g_int, derive_geometry, expand,
@@ -199,8 +199,18 @@ def _log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
 
 
+def _accepted(pair):
+    """True when GapPair takes the pair."""
+    try:
+        GapPair(*pair)
+    except DomainError:
+        return False
+    return True
+
+
 # the edges of the domain: narrow bands down to nu = 1e-7, gaps within
-# 1e-11 of -1 or 1, and anything in between
+# 1e-11 of -1 or 1, and anything in between that GapPair accepts (the
+# first three are accepted by construction)
 _narrow = st.builds(lambda c, nu: (c - nu, c + nu),
                     st.floats(-0.9, 0.9), _log_uniform(-7, -2))
 _left_edge = st.builds(lambda eps, v2: (-1.0 + eps, v2),
@@ -208,7 +218,7 @@ _left_edge = st.builds(lambda eps, v2: (-1.0 + eps, v2),
 _right_edge = st.builds(lambda v1, eps: (v1, 1.0 - eps),
                         st.floats(-0.9, 0.9), _log_uniform(-11, -2))
 _regular = st.tuples(st.floats(-0.95, 0.9), st.floats(-0.9, 0.95)).filter(
-    lambda t: t[0] < t[1])
+    _accepted)
 # bands centred at 0 with nu from the smallest subnormal up to 1e-7
 _tiny = _log_uniform(-323.3, -7).map(lambda nu: (-nu, nu))
 
@@ -245,6 +255,9 @@ def test_band_below_the_floor_is_refused(pair):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_narrow, _left_edge, _right_edge, _regular))
+@example((-1.1125369292536007e-308, 0.0)).xfail(
+    raises=DomainError, reason="once drawn by _regular; band half-width "
+    "5.6e-309 is below MIN_BAND_HALF_WIDTH, so GapPair refuses it")
 def test_merging_scale_is_below_a_quarter(pair):
     # nu < beta and nu < |alpha| for every valid gap, so gamma nu < 1/4
     # and L = log(1/(gamma nu)) > 0: the merging formulas need no check

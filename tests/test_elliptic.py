@@ -1,6 +1,7 @@
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,12 +134,30 @@ def test_gap_pair_validation():
         GapPair(float("nan"), 0.5)
 
 
+def _mp_gauss_node(t, n):
+    """Newton-polished Gauss-Legendre node and weight near the double
+    node t, at the working precision of mpmath."""
+    t = mpmath.mpf(t)
+    for _ in range(3):
+        p0, p1 = mpmath.mpf(1), t
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+        dp = n * (t * p1 - p0) / (t * t - 1)
+        t -= p1 / dp
+    return t, 2 / ((1 - t * t) * dp * dp)
+
+
 @pytest.mark.parametrize("n", [200, 800])
-def test_dense_gauss_rule_is_numpys(n):
-    # up to 800 nodes every moment keeps the bits of numpy's rule
+def test_gauss_weights_are_accurate_relative_to_themselves(n):
+    # the 8 nodes nearest +1, where sin^2-mapped narrow-band and edge
+    # integrands peak, and 2 interior nodes; numpy's own weights there
+    # are off by 2e-11 (n = 200) and 1.4e-9 (n = 800)
     x, w = _leggauss(n)
-    nx, nw = np.polynomial.legendre.leggauss(n)
-    assert np.array_equal(x, nx) and np.array_equal(w, nw)
+    with mpmath.workdps(30):
+        for i in list(range(n - 8, n)) + [n // 4, n // 2]:
+            t, wt = _mp_gauss_node(x[i], n)
+            assert abs(x[i] - t) < 1e-16, i
+            assert abs(w[i] / wt - 1) < 5e-12, i
 
 
 @pytest.mark.parametrize("n", [1600, 6400])
@@ -162,7 +181,6 @@ def _carlson_tail(gap):
     return 2.0 * float(elliprf(a * b, 2.0 * b, 2.0 * a))
 
 
-# near -1 the node doubling runs to the 6400-node budget
 @pytest.mark.parametrize("gap, tol", [(EDGE_TAIL_GAP, 1e-11),
                                       (GapPair(-0.5, 0.3), 1e-13),
                                       (GapPair(-0.8, 0.6), 1e-13)])
@@ -171,8 +189,9 @@ def test_tail_integral_against_carlson(gap, tol):
 
 
 def test_unconverged_quadrature_is_logged(caplog):
+    # within 1e-8 of -1 the node doubling still runs to the 6400-node budget
     with caplog.at_level(logging.DEBUG, logger="twingap.elliptic"):
-        tail_integral(EDGE_TAIL_GAP)
+        tail_integral(GapPair(-1.0 + 1e-8, 0.1))
     records = [r for r in caplog.records if r.name == "twingap.elliptic"]
     assert len(records) == 1
     assert records[0].levelno == logging.DEBUG
@@ -180,10 +199,17 @@ def test_unconverged_quadrature_is_logged(caplog):
     assert "6400 nodes" in msg and "|delta|" in msg and "tol = 1e-13" in msg
 
 
-def test_converged_quadrature_logs_nothing(caplog):
+# a regular pair, a band of half-width 1e-4, and gaps within 1e-4 of +1
+# and of -1: every moment and the tail converge by 400 nodes
+@pytest.mark.parametrize("gap", [GapPair(-0.5, 0.3),
+                                 GapPair(-0.2 - 1e-4, -0.2 + 1e-4),
+                                 GapPair(-0.4, 1.0 - 1e-4),
+                                 GapPair(-1.0 + 1e-4, 0.3)],
+                         ids=["regular", "narrow", "right-edge", "left-edge"])
+def test_converged_quadrature_logs_nothing(gap, caplog):
     with caplog.at_level(logging.DEBUG, logger="twingap.elliptic"):
-        tail_integral(GapPair(-0.5, 0.3))
-        elliptic_data(GapPair(-0.5, 0.3))
+        tail_integral(gap)
+        elliptic_data(gap)
     assert [r for r in caplog.records if r.name == "twingap.elliptic"] == []
 
 

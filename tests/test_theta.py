@@ -211,3 +211,19 @@ def test_non_finite_point_refused(j, z):
     # whole term budget
     with pytest.raises(DomainError):
         theta_eval(j, np.array([0.1, z, 0.4]), CTX, 1)
+
+
+# points whose reduction count n = round(Im z / t) or quasi-period factor
+# exp(pi t n^2 + ...) is not a finite double; the true value overflows
+@pytest.mark.parametrize("t, z, order", [(1e-200, 0.3 + 0.1j, 0),
+                                         (1e-200, 0.3 + 0.1j, 1),
+                                         (1e-5, 0.3 + 0.1j, 0),
+                                         (1e-5, 0.3 + 0.1j, 2),
+                                         (5e-324, 0.3 + 0.1j, 0)])
+@pytest.mark.parametrize("j", [1, 3])
+def test_overflowing_quasi_period_refused(j, t, z, order):
+    ctx = ThetaContext.from_tau(1j * t)
+    with pytest.raises(DomainError):
+        theta_eval(j, z, ctx, order)
+    with pytest.raises(DomainError):
+        theta_eval(j, np.array([0.1, z, 0.4]), ctx, order)
