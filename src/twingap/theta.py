@@ -28,7 +28,10 @@ before summing: the defining series stops where its terms fall below
 1e-17 of the m = 0 term, the transform where its Gaussians fall below
 1e-22 of the one nearest the point.  A non-finite tau or point is
 refused with DomainError, and so is a point whose reduction count or
-quasi-period factor overflows double (|Im z| / t very large).
+quasi-period factor overflows double (|Im z| / t very large), and any
+value that overflows double.  Below t = 1e-90, where the powers of pi/t
+can overflow, the transform's entries that do are recomputed in the
+scaled variable sqrt(pi/t) (k - z), skipping Gaussians that underflow.
 
 theta_eval also takes a numpy array of points, such as quadrature nodes
 on the real line.  The argument reduction, the half-period shifts, the
@@ -38,7 +41,6 @@ two series sums and the binomial steps act on arrays as they are.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -54,8 +56,13 @@ _TRUNC_REL = 1e-17
 _NOME_SWITCH = 0.5
 
 _BINOM = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
+# below this t the powers of pi/t in the transform and its prefactor
+# t^(-1/2) can overflow double; above it no term can
+_TINY_T = 1e-90
 # exp(w) overflows double once Re w exceeds this
 _LOG_MAX = math.log(sys.float_info.max)
+# past its checks, a value that is not finite overflows double
+_OVERFLOW = "theta overflows double at this tau and order"
 
 
 @dataclass(frozen=True)
@@ -162,11 +169,17 @@ def _series_transform(z0, ctx: ThetaContext, kmax: int) -> list:
     array of points), modular transform over shifts |k| <= _transform_terms.
 
     Each term is a Gaussian exp(-(pi/t)(k - z)^2) whose z-derivatives
-    are Hermite-type polynomials in u = k - z.
+    are Hermite-type polynomials in u = k - z.  Below _TINY_T, where the
+    powers of pi/t can overflow, every entry that comes out NaN or
+    infinite is recomputed by _scaled_transform.
     """
     t = ctx.tau.imag
     a = math.pi / t
     pref = 1.0 / cmath.sqrt(-1j * ctx.tau)
+    try:
+        a3 = a ** 3
+    except OverflowError:  # then 8 a^3 u^3 is not finite either
+        a3 = math.inf
     vals = [0j] * (kmax + 1)
     for k in range(_transform_terms(t) + 1):
         for kk in ((0,) if k == 0 else (-k, k)):
@@ -178,15 +191,50 @@ def _series_transform(z0, ctx: ThetaContext, kmax: int) -> list:
             if kmax > 1:
                 vals[2] += (4.0 * a * a * u * u - 2.0 * a) * e
             if kmax > 2:
-                vals[3] += (8.0 * a ** 3 * u ** 3 - 12.0 * a * a * u) * e
-    return [pref * v for v in vals]
+                vals[3] += (8.0 * a3 * u ** 3 - 12.0 * a * a * u) * e
+    vals = [pref * v for v in vals]
+    if t < _TINY_T:
+        vals = [np.where(np.isfinite(v), v, w) if isinstance(v, np.ndarray)
+                else v if cmath.isfinite(v) else w
+                for v, w in zip(vals, _scaled_transform(z0, t, kmax))]
+    return vals
+
+
+def _scaled_transform(z0, t: float, kmax: int) -> list:
+    """_series_transform in y = sqrt(a) u, a = pi/t, for tiny t.
+
+    The order-i term is t^(-1/2) a^(i/2) H_i(y) exp(-y^2), H_i the
+    Hermite polynomials, so each sum of H_i(y) exp(-y^2) is O(1), and the
+    scale, applied last in factors >= 1, overflows only where the value
+    does.  A shift whose Gaussian underflows to 0 is skipped: y^2 > 745
+    there, so |H_i(y)| exp(-y^2) < 1e-317.
+    """
+    r = math.sqrt(math.pi) / math.sqrt(t)  # sqrt(a), finite for any t > 0
+    sums = [0j] * (kmax + 1)
+    for k in range(_transform_terms(t) + 1):
+        for kk in ((0,) if k == 0 else (-k, k)):
+            y = r * (kk - z0)
+            e = _exp(-y * y)
+            y = y * (e != 0.0)  # a Gaussian that underflowed adds 0
+            hermite = (1.0, 2.0 * y, 4.0 * y * y - 2.0, 8.0 * y ** 3 - 12.0 * y)
+            for i in range(kmax + 1):
+                sums[i] += hermite[i] * e
+    out = []
+    for i, v in enumerate(sums):
+        v = v * (1.0 / math.sqrt(t))
+        for _ in range(i):
+            v = v * r
+        out.append(v)
+    return out
 
 
 def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
     """theta_j^{(order)}(z; tau) for j in 1..4 and order in 0..3.
 
     z is a finite number, or a numpy array of finite points, which gives
-    the array of values at those points.
+    the array of values at those points.  A value that overflows double
+    (at tiny t or far from the real axis) raises DomainError; no value
+    is NaN or infinite.
 
     Every theta_j is const * exp(pref z) * theta_3(z + shift).  Reducing
     z + shift = z0 + n tau (mod 1) brings in the quasi-period factor
@@ -202,12 +250,25 @@ def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
         z = z.astype(complex)
         if not np.isfinite(z).all():
             raise DomainError("theta_eval requires finite points")
-    else:
-        z = complex(z)
-        if not cmath.isfinite(z):
-            raise DomainError(f"theta_eval requires a finite point, got {z}")
-        if j == 1 and order % 2 == 0 and z == 0.0:
-            return 0j  # theta_1 is odd
+        # an overflow or NaN is refused below, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _theta(j, z, ctx, order)
+        if not np.isfinite(value).all():
+            raise DomainError(_OVERFLOW)
+        return value
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"theta_eval requires a finite point, got {z}")
+    if j == 1 and order % 2 == 0 and z == 0.0:
+        return 0j  # theta_1 is odd
+    value = _theta(j, z, ctx, order)
+    if not cmath.isfinite(value):
+        raise DomainError(_OVERFLOW)
+    return value
+
+
+def _theta(j: int, z, ctx: ThetaContext, order: int):
+    """theta_eval past its checks, at a finite complex point or array."""
     tau = ctx.tau
     if j == 3:
         z0, n = _reduce(z, tau)
@@ -221,11 +282,9 @@ def theta_eval(j: int, z, ctx: ThetaContext, order: int = 0):
     raw = series(z0, ctx, order)
     moved = n.any() if isinstance(n, np.ndarray) else n != 0
     if moved:
-        # an array count n near 1e154 overflows n*n, and numpy would warn;
-        # _quasi_factor refuses the result (scalar arithmetic never warns)
-        with (np.errstate(over="ignore", invalid="ignore")
-              if isinstance(n, np.ndarray) else contextlib.nullcontext()):
-            logfac = -2j * math.pi * n * z0 - 1j * math.pi * n * n * tau
+        # an array count n near 1e154 overflows n*n; _quasi_factor refuses
+        # the result
+        logfac = -2j * math.pi * n * z0 - 1j * math.pi * n * n * tau
         rate = -2j * math.pi * n
     elif j > 2:
         return raw[order]

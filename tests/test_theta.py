@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -227,3 +228,53 @@ def test_overflowing_quasi_period_refused(j, t, z, order):
         theta_eval(j, z, ctx, order)
     with pytest.raises(DomainError):
         theta_eval(j, np.array([0.1, z, 0.4]), ctx, order)
+
+
+def _theta3_transform_mp(z, t, order):
+    """theta_3^(order)(z; i t) from the transformed series at 60 digits:
+    t^(-1/2) sum_k d^order/dz^order exp(-(pi/t)(k - z)^2)."""
+    import mpmath
+    with mpmath.workdps(60):
+        z, t = mpmath.mpf(z), mpmath.mpf(t)
+        a = mpmath.pi / t
+        total = 0
+        for k in range(-3, 4):
+            u = k - z
+            h = (1, 2 * a * u, 4 * a * a * u * u - 2 * a,
+                 8 * a ** 3 * u ** 3 - 12 * a * a * u)[order]
+            total += h * mpmath.exp(-a * u * u)
+        return total / mpmath.sqrt(t)
+
+
+# down to the smallest subnormal t, where pi/t overflows: Gaussians that
+# underflow are skipped, and a value that overflows double is refused;
+# never NaN, never another exception, never a numpy warning
+@pytest.mark.parametrize("t", [1e-5, 1e-103, 1e-200, 1e-310, 5e-324])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_tiny_t_finite_or_refused(t, order):
+    import mpmath
+    ctx = ThetaContext.from_tau(1j * t)
+    points = [0.0, 0.3, 0.5, -0.25, 1e-160, 2e-52]
+    for j in (1, 2, 3, 4):
+        values = []
+        for z in points:
+            try:
+                v = theta_eval(j, z, ctx, order)
+            except DomainError:
+                values.append(None)
+                continue
+            assert cmath.isfinite(v), (j, z)
+            values.append(v)
+            if j == 3:
+                # error measured against the scale t^(-1/2) (pi/t)^(order/2)
+                scale = mpmath.mpf(t) ** -0.5 * (mpmath.pi / t) ** (order / 2)
+                ref = _theta3_transform_mp(z, t, order)
+                assert abs(v - complex(ref)) <= 1e-14 * float(scale), (z, v, ref)
+        try:
+            arr = theta_eval(j, np.array(points), ctx, order)
+        except DomainError:
+            assert None in values
+            continue
+        assert np.isfinite(arr).all()
+        assert None not in values
+        assert np.abs(arr - np.array(values)).max() <= 1e-13 * np.abs(arr).max()
